@@ -134,10 +134,11 @@ def test_kernel_esop_minimization_beats_scalar(results_dir):
     each) exercise the distance-matrix path; results must stay
     bit-identical across the arms.
     """
+    import math
     import random
 
-    from repro.esopmin import esop_from_fprm, minimize_esop
-    from repro.expr.kernels import set_kernels_enabled
+    from repro.esopmin import esop_from_fprm
+    from repro.esopmin.exorcism import _KERNEL_MIN_CUBES, _minimize_esop
     from repro.truth.spectra import fprm_from_table
     from repro.truth.table import TruthTable
 
@@ -149,13 +150,11 @@ def test_kernel_esop_minimization_beats_scalar(results_dir):
     ]
 
     def arm(enabled: bool) -> tuple[float, list]:
-        previous = set_kernels_enabled(enabled)
-        try:
-            start = time.perf_counter()
-            out = [minimize_esop(esop) for esop in esops]
-            return time.perf_counter() - start, out
-        finally:
-            set_kernels_enabled(previous)
+        # The kernel arm keeps the production cutoff; scalar never switches.
+        cutoff = _KERNEL_MIN_CUBES if enabled else math.inf
+        start = time.perf_counter()
+        out = [_minimize_esop(esop, kernel_min_cubes=cutoff) for esop in esops]
+        return time.perf_counter() - start, out
 
     arm(True), arm(False)  # warm both paths
     kernel_best = scalar_best = float("inf")

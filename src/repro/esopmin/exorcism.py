@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import BudgetExceededError
 from repro.expr.cube import Cube
 from repro.expr.esop import EsopCover, FprmForm
-from repro.expr.kernels import CoverMatrix, kernels_enabled
+from repro.expr.kernels import CoverMatrix
 from repro.obs.spans import span as obs_span
 from repro.resilience.budget import (
     budget_tick,
@@ -59,6 +59,17 @@ def minimize_esop(cover: EsopCover, rounds: int = _MAX_ROUNDS) -> EsopCover:
     AND-XOR minimization is known to blow up on adversarial instances,
     which is precisely why this loop must be interruptible.
     """
+    return _minimize_esop(cover, _KERNEL_MIN_CUBES, rounds)
+
+
+def _minimize_esop(cover: EsopCover, kernel_min_cubes: float,
+                   rounds: int = _MAX_ROUNDS) -> EsopCover:
+    """:func:`minimize_esop` with the kernel cutoff as a parameter.
+
+    Passes over covers of at least ``kernel_min_cubes`` cubes take the
+    matrix path: ``math.inf`` runs all-scalar, ``2`` all-kernel.  The
+    differential checks compare those two arms call by call.
+    """
     cubes = list(cover.cubes)
     trajectory = [len(cubes)]
     degraded = False
@@ -70,8 +81,10 @@ def minimize_esop(cover: EsopCover, rounds: int = _MAX_ROUNDS) -> EsopCover:
                 # so an exhausted budget must degrade here, not in-loop.
                 budget.check("esop-minimize")
             for _ in range(rounds):
-                cubes, changed_merge = _reduce_pass(cover.n, cubes)
-                changed_link = _exorlink_pass(cover.n, cubes)
+                cubes, changed_merge = _reduce_pass(cover.n, cubes,
+                                                    kernel_min_cubes)
+                changed_link = _exorlink_pass(cover.n, cubes,
+                                              kernel_min_cubes)
                 trajectory.append(len(cubes))
                 if not changed_merge and not changed_link:
                     break
@@ -156,9 +169,10 @@ def _reduce_pair(cubes: list[Cube], i: int, j: int) -> None:
         cubes.append(merged)
 
 
-def _reduce_pass(n: int, cubes: list[Cube]) -> tuple[list[Cube], bool]:
+def _reduce_pass(n: int, cubes: list[Cube],
+                 kernel_min_cubes: float) -> tuple[list[Cube], bool]:
     """Cancel d=0 pairs and merge d=1 pairs until no pair qualifies."""
-    if kernels_enabled() and len(cubes) >= _KERNEL_MIN_CUBES:
+    if len(cubes) >= kernel_min_cubes:
         return _reduce_pass_kernel(n, cubes)
     changed = False
     progress = True
@@ -212,9 +226,10 @@ def _reduce_pass_kernel(n: int, cubes: list[Cube]) -> tuple[list[Cube], bool]:
     return cubes, changed
 
 
-def _exorlink_pass(n: int, cubes: list[Cube]) -> bool:
+def _exorlink_pass(n: int, cubes: list[Cube],
+                   kernel_min_cubes: float) -> bool:
     """Greedy exorlink-2: accept a rewrite if it enables a d≤1 reduction."""
-    if kernels_enabled() and len(cubes) >= _KERNEL_MIN_CUBES:
+    if len(cubes) >= kernel_min_cubes:
         return _exorlink_pass_kernel(n, cubes)
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):

@@ -92,10 +92,15 @@ class Cover:
         """Drop cubes contained in another single cube (SCC minimization)."""
         if len(self.cubes) >= _KERNEL_MIN_CUBES:
             # Deferred import: repro.expr.kernels imports Cover.
-            from repro.expr.kernels import kernels_enabled, scc_cover
+            from repro.expr.kernels import scc_cover
 
-            if kernels_enabled():
-                return scc_cover(self)
+            return scc_cover(self)
+        return self.scalar_scc()
+
+    def scalar_scc(self) -> "Cover":
+        """The scalar SCC loop: the small-cover path of
+        :meth:`single_cube_containment` and the reference for
+        :func:`repro.expr.kernels.scc_cover`."""
         kept: list[Cube] = []
         # Sorting by decreasing freedom makes the quadratic scan cheaper:
         # big cubes absorb small ones early.

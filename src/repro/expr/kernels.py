@@ -10,18 +10,18 @@ literal masks as ``uint64`` word arrays (shape ``(k, words)``), and every
 primitive is one broadcastable numpy expression over those words.
 
 Semantics guarantee: every kernel computes *exactly* the relation its
-scalar counterpart defines (containment as :meth:`Cube.covers`, distance
-as :meth:`Cube.distance`, ESOP difference as the exorcism
-``_difference_vars`` count, …).  Callers that rewrite covers keep the
-scalar rewrite rules and use the kernels only to *select* work, so a
-kernel-accelerated pass is bit-identical to the scalar pass — the
-property the ``kernels-vs-scalar`` fuzz oracle enforces.
+scalar counterpart defines (containment as :meth:`Cube.covers`, ESOP
+difference as the exorcism ``_difference_vars`` count, …).  Callers that
+rewrite covers keep the scalar rewrite rules and use the kernels only to
+*select* work, so a kernel-accelerated pass is bit-identical to the
+scalar pass — the property the ``kernels-vs-scalar`` fuzz oracle
+enforces.
 
-Kernel selection is ambient: :func:`set_kernels_enabled` (driven by
-``SynthesisOptions.use_kernels`` / ``repro-synth --no-kernels``) flips a
-process-wide switch that gated call sites consult via
-:func:`kernels_enabled`.  The switch never changes results, only which
-implementation computes them.
+Cover size alone selects the path: call sites take the kernel path at
+or above their ``_KERNEL_MIN_CUBES`` cutoff and the scalar loop below
+it.  There is no switch to flip; the cutoffs never change results, only
+which implementation computes them.  Differential checks call both paths
+side by side (:func:`scc_cover` beside :meth:`Cover.scalar_scc`).
 """
 
 from __future__ import annotations
@@ -33,30 +33,12 @@ from repro.expr.cube import Cube
 
 __all__ = [
     "CoverMatrix",
-    "kernels_enabled",
     "popcount_words",
-    "set_kernels_enabled",
+    "scc_cover",
 ]
 
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
-
-#: Process-wide kernel switch (see module docstring).  Default on.
-_ENABLED = True
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Flip the ambient kernel switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-def kernels_enabled() -> bool:
-    """Whether gated call sites should take the vectorized path."""
-    return _ENABLED
-
 
 def _num_words(n: int) -> int:
     return max(1, (n + _WORD_BITS - 1) // _WORD_BITS)
@@ -72,13 +54,6 @@ def _masks_to_words(masks: list[int], words: int) -> np.ndarray:
                 out[row, word] = chunk
         # Wider masks than the universe are a caller bug; Cube validated.
     return out
-
-
-def _words_to_mask(row: np.ndarray) -> int:
-    mask = 0
-    for word in range(row.shape[0] - 1, -1, -1):
-        mask = (mask << _WORD_BITS) | int(row[word])
-    return mask
 
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
@@ -131,25 +106,8 @@ class CoverMatrix:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def num_cubes(self) -> int:
-        return self.pos.shape[0]
-
     def __len__(self) -> int:
         return self.pos.shape[0]
-
-    def cube(self, index: int) -> Cube:
-        return Cube(
-            self.n,
-            _words_to_mask(self.pos[index]),
-            _words_to_mask(self.neg[index]),
-        )
-
-    def to_cubes(self) -> tuple[Cube, ...]:
-        return tuple(self.cube(i) for i in range(len(self)))
-
-    def to_cover(self) -> Cover:
-        return Cover(self.n, self.to_cubes())
 
     def literal_counts(self) -> np.ndarray:
         """Per-cube literal count — matches :attr:`Cube.num_literals`."""
@@ -173,13 +131,6 @@ class CoverMatrix:
             & ((neg_i & neg_j) == neg_i).all(axis=2)
         )
 
-    def distance_matrix(self) -> np.ndarray:
-        """``D[i, j]`` = number of conflicting variables (:meth:`Cube.distance`)."""
-        conflict = (self.pos[:, None, :] & self.neg[None, :, :]) | (
-            self.neg[:, None, :] & self.pos[None, :, :]
-        )
-        return popcount_words(conflict).sum(axis=2)
-
     def esop_distance_matrix(self) -> np.ndarray:
         """``D[i, j]`` = variables whose 3-valued state differs.
 
@@ -199,25 +150,6 @@ class CoverMatrix:
         neg = _masks_to_words([neg_mask], words)[0]
         diff = (self.pos ^ pos) | (self.neg ^ neg)
         return popcount_words(diff).sum(axis=1)
-
-    def intersects_cube(self, cube: Cube) -> np.ndarray:
-        """Boolean per-row :meth:`Cube.intersects` against one cube."""
-        words = self.words
-        pos = _masks_to_words([cube.pos], words)[0]
-        neg = _masks_to_words([cube.neg], words)[0]
-        conflict = (self.pos & neg) | (self.neg & pos)
-        return ~(conflict.any(axis=1))
-
-    def cofactor_cube(self, cube: Cube) -> "CoverMatrix":
-        """Batched :meth:`Cube.cofactor_cube`: rows that intersect,
-        with the cube's literals dropped (row order preserved)."""
-        keep = self.intersects_cube(cube)
-        words = self.words
-        pos = _masks_to_words([cube.pos], words)[0]
-        neg = _masks_to_words([cube.neg], words)[0]
-        return CoverMatrix(
-            self.n, self.pos[keep] & ~pos, self.neg[keep] & ~neg
-        )
 
     def intersection_with(self, other: "CoverMatrix") -> np.ndarray:
         """Boolean ``M[i, j]`` = row ``i`` of self intersects row ``j``

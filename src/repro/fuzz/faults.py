@@ -20,7 +20,8 @@ reproducers:
     The vectorized ESOP distance matrix under-reports distance-2 pairs
     as distance 1 — the classic off-by-one in a popcount reduction — so
     the kernel path merges cubes the scalar loops would never touch.
-    Only the ``kernels-vs-scalar`` oracle's vectorized arm is affected.
+    The ``kernels-vs-scalar`` oracle's all-kernel ESOP arm runs the
+    matrix path at every cover size, so fuzz-sized covers expose it.
 
 Injection patches the *importing* module's bindings (``repro.flow.passes``
 and ``repro.core.synthesis`` import these names directly), so only the
@@ -120,26 +121,20 @@ def _fault_cache_key_collision() -> Iterator[None]:
 
 @contextlib.contextmanager
 def _fault_kernel_distance_skew() -> Iterator[None]:
-    from repro.esopmin import exorcism
     from repro.expr.kernels import CoverMatrix
 
     original = CoverMatrix.esop_distance_matrix
-    original_min = exorcism._KERNEL_MIN_CUBES
 
     def faulty(self):
         distance = original(self)
         distance[distance == 2] = 1
         return distance
 
-    # Drop the size cutoff too, so fuzz-sized covers hit the kernel path
-    # and the skewed matrix actually steers a (bogus) merge.
     CoverMatrix.esop_distance_matrix = faulty
-    exorcism._KERNEL_MIN_CUBES = 2
     try:
         yield
     finally:
         CoverMatrix.esop_distance_matrix = original
-        exorcism._KERNEL_MIN_CUBES = original_min
 
 
 @contextlib.contextmanager

@@ -15,6 +15,7 @@ the runner executes them on a cadence instead of every case.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass
 
@@ -22,8 +23,9 @@ from repro.core.options import FactorMethod, SynthesisOptions
 from repro.core.synthesis import SynthesisResult
 from repro.engine import EngineConfig, SynthesisEngine
 from repro.errors import TooManyVariablesError
-from repro.esopmin import esop_from_fprm, minimize_esop
-from repro.expr.kernels import set_kernels_enabled
+from repro.esopmin import esop_from_fprm
+from repro.esopmin.exorcism import _minimize_esop
+from repro.expr.kernels import scc_cover
 from repro.flow.cache import get_result_cache
 from repro.fprm.polarity import PolarityStrategy
 from repro.truth.spectra import fprm_from_table
@@ -255,58 +257,25 @@ def oracle_degradation_ladder(spec: CircuitSpec) -> list[Finding]:
     return findings
 
 
-def _kernels_on_off(fn):
-    """Run ``fn`` once with the vectorized kernels and once without."""
-    previous = set_kernels_enabled(True)
-    try:
-        fast = fn()
-        set_kernels_enabled(False)
-        slow = fn()
-    finally:
-        set_kernels_enabled(previous)
-    return fast, slow
-
-
 def oracle_kernels_vs_scalar(spec: CircuitSpec) -> list[Finding]:
     """Vectorized cube-algebra kernels vs. the scalar reference loops.
 
-    ``use_kernels`` is an execution knob, not a semantic one: the matrix
-    scans in :mod:`repro.expr.kernels` must select exactly the work the
-    scalar loops would, so kernel and scalar runs are required to be
-    bit-identical.  Two arms: the full flow under the
-    ``use_kernels`` knob (same function, same gate/literal counts), and
-    the kernel-gated cube subsystems head-to-head on covers derived from
-    the spec — ESOP minimization and single-cube containment must return
-    the *exact same cube tuples* either way.
+    The matrix scans in :mod:`repro.expr.kernels` must select exactly
+    the work the scalar loops would, so both paths must return the
+    *exact same cube tuples* on every cover.  Cover size picks the path
+    in the flow, so each arm is called directly at the spec's sizes:
+    ESOP minimization all-kernel vs. all-scalar, and single-cube
+    containment through :func:`scc_cover` vs. :meth:`Cover.scalar_scc`.
     """
     findings: list[Finding] = []
-    fast = _synthesize(spec, use_kernels=True)
-    slow = _synthesize(spec, use_kernels=False)
-    _check_spec(spec, fast, "kernels-vs-scalar", "kernels", findings)
-    _check_spec(spec, slow, "kernels-vs-scalar", "scalar", findings)
-    _check_cross(fast, slow, "kernels-vs-scalar", "kernels vs scalar",
-                 findings)
-    if (
-        fast.literals != slow.literals
-        or fast.two_input_gates != slow.two_input_gates
-    ):
-        findings.append(
-            Finding(
-                check="kernels-vs-scalar",
-                detail=(
-                    f"metrics diverge: kernels "
-                    f"{fast.two_input_gates} gates/{fast.literals} lits "
-                    f"vs scalar {slow.two_input_gates}/{slow.literals}"
-                ),
-            )
-        )
     for output in spec.outputs:
         try:
             table = output.local_table()
         except TooManyVariablesError:
             continue
         esop = esop_from_fprm(fprm_from_table(table, 0))
-        kern, ref = _kernels_on_off(lambda: minimize_esop(esop))
+        kern = _minimize_esop(esop, kernel_min_cubes=2)
+        ref = _minimize_esop(esop, kernel_min_cubes=math.inf)
         if kern.cubes != ref.cubes:
             findings.append(
                 Finding(
@@ -321,10 +290,8 @@ def oracle_kernels_vs_scalar(spec: CircuitSpec) -> list[Finding]:
             )
         if output.cover is None:
             continue
-        cover = output.cover
-        kern, ref = _kernels_on_off(
-            lambda: cover.single_cube_containment()
-        )
+        kern = scc_cover(output.cover)
+        ref = output.cover.scalar_scc()
         if kern.cubes != ref.cubes:
             findings.append(
                 Finding(

@@ -78,7 +78,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     options = resolve_options(
         verify=not args.no_verify,
         jobs=args.jobs,
-        use_kernels=False if args.no_kernels else None,
     )
     snapshot = record_snapshot(
         circuits,
@@ -203,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="skip equivalence checking per circuit")
     p_record.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="pool processes per circuit")
-    p_record.add_argument("--no-kernels", action="store_true",
-                          help="record with the scalar cube-algebra loops "
-                               "(A/B against the vectorized kernels; "
-                               "results are bit-identical)")
     p_record.add_argument("--smoke", action="store_true",
                           help="include bench_perf_smoke overhead numbers")
     p_record.add_argument("--quiet", action="store_true",

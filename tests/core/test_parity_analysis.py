@@ -1,16 +1,17 @@
-"""Cube-parity controllability analysis (the paper's cut Section 4 part)."""
+"""Cube-union enumeration of the ENUMERATION controllability engine.
 
-import pytest
-from hypothesis import given, settings
+The explicit form of the paper's cut cube-parity exploration: the only
+primary-input patterns that matter are unions of cube literal sets, and
+``RedundancyRemover._enumeration_patterns`` enumerates all of them.
+"""
+
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.parity_analysis import (
-    achievable_parity_pairs,
-    activated_cubes,
-    cube_union_patterns,
-    group_parity,
-    parity_of_pattern,
-)
+from repro.core.factor_cube import factor_cubes
+from repro.core.options import SynthesisOptions
+from repro.core.redundancy import RedundancyRemover
+from repro.core.tree import tree_from_expr
 from repro.expr.esop import FprmForm
 
 N = 5
@@ -22,9 +23,16 @@ def forms(draw):
     return FprmForm.from_masks(N, (1 << N) - 1, masks)
 
 
+def enumeration_patterns(form: FprmForm, **option_kwargs) -> list[int]:
+    tree = tree_from_expr(factor_cubes(list(form.cubes)))
+    remover = RedundancyRemover(tree, form.n, form,
+                                SynthesisOptions(**option_kwargs))
+    return remover._enumeration_patterns()
+
+
 @given(forms())
 def test_union_patterns_contain_oc_and_az(form):
-    patterns = cube_union_patterns(form)
+    patterns = enumeration_patterns(form)
     assert 0 in patterns
     for mask in form.cubes:
         assert mask in patterns
@@ -32,52 +40,16 @@ def test_union_patterns_contain_oc_and_az(form):
 
 @given(forms())
 def test_union_patterns_closed_under_union(form):
-    patterns = set(cube_union_patterns(form))
+    patterns = set(enumeration_patterns(form))
     for a in patterns:
         for b in patterns:
             assert (a | b) in patterns
 
 
 def test_limit_enforced():
+    """Above the cube limit the 2^cubes unions are not enumerated."""
     form = FprmForm.from_masks(16, (1 << 16) - 1,
                                [1 << i for i in range(16)])
-    with pytest.raises(ValueError):
-        cube_union_patterns(form, limit=8)
-
-
-@given(forms())
-def test_parity_of_pattern_matches_evaluate(form):
-    for pattern in cube_union_patterns(form):
-        assert parity_of_pattern(form, pattern) == form.evaluate(
-            form.pi_pattern(pattern)
-        )
-
-
-@given(forms())
-@settings(max_examples=30, deadline=None)
-def test_achievable_pairs_are_exact_for_group_splits(form):
-    """Enumeration finds exactly the (g,h) pairs any PI pattern can make.
-
-    For a gate joining two cube groups, g and h are cube-subset parities;
-    brute-force over all 2^N literal patterns must agree with the cube
-    union enumeration — the paper's claim that the parities decide it.
-    """
-    cubes = list(form.cubes)
-    if len(cubes) < 2:
-        return
-    half = len(cubes) // 2
-    group_g, group_h = cubes[:half], cubes[half:]
-    enumerated = achievable_parity_pairs(form, group_g, group_h)
-    brute = set()
-    for pattern in range(1 << N):
-        brute.add(
-            (group_parity(group_g, pattern), group_parity(group_h, pattern))
-        )
-    assert enumerated == brute
-
-
-def test_activated_cubes():
-    form = FprmForm.from_masks(3, 0b111, [0b011, 0b100])
-    assert activated_cubes(form, 0b011) == (0b011,)
-    assert activated_cubes(form, 0b111) == (0b011, 0b100)
-    assert activated_cubes(form, 0b000) == ()
+    assert enumeration_patterns(form, enumeration_cube_limit=8) == []
+    small = FprmForm.from_masks(16, (1 << 16) - 1, [1 << i for i in range(8)])
+    assert len(enumeration_patterns(small, enumeration_cube_limit=8)) == 256

@@ -1,9 +1,12 @@
 """ESOP minimization: semantics preserved, sizes shrink."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.esopmin import esop_from_fprm, minimize_esop
+from repro.esopmin.exorcism import _minimize_esop
 from repro.expr.cube import Cube
 from repro.expr.esop import EsopCover, FprmForm
 
@@ -89,15 +92,8 @@ def test_esop_beats_or_ties_fprm_on_mixed_function():
 def test_kernel_path_is_bit_identical_to_scalar(cover):
     """The matrix-selected passes must replay the scalar scans exactly:
     same cubes, same order — not merely the same function."""
-    from repro.expr.kernels import set_kernels_enabled
-
-    previous = set_kernels_enabled(True)
-    try:
-        with_kernels = minimize_esop(cover)
-        set_kernels_enabled(False)
-        scalar = minimize_esop(cover)
-    finally:
-        set_kernels_enabled(previous)
+    with_kernels = _minimize_esop(cover, kernel_min_cubes=2)
+    scalar = _minimize_esop(cover, kernel_min_cubes=math.inf)
     assert with_kernels.cubes == scalar.cubes
 
 
@@ -106,7 +102,6 @@ def test_kernel_threshold_never_changes_results():
     import random
 
     from repro.esopmin import exorcism
-    from repro.expr.kernels import set_kernels_enabled
 
     rng = random.Random(42)
     for _ in range(40):
@@ -118,12 +113,8 @@ def test_kernel_threshold_never_changes_results():
             neg = rng.getrandbits(n) & ~pos
             cubes.append(Cube(n, pos, neg))
         cover = EsopCover(n, tuple(cubes))
-        previous = set_kernels_enabled(True)
-        try:
-            fast = minimize_esop(cover)
-            set_kernels_enabled(False)
-            slow = minimize_esop(cover)
-        finally:
-            set_kernels_enabled(previous)
+        slow = _minimize_esop(cover, kernel_min_cubes=math.inf)
+        assert minimize_esop(cover).cubes == slow.cubes, (n, count)
+        fast = _minimize_esop(cover, kernel_min_cubes=2)
         assert fast.cubes == slow.cubes, (n, count)
     assert exorcism._KERNEL_MIN_CUBES >= 2

@@ -15,13 +15,7 @@ import pytest
 
 from repro.expr.cover import Cover
 from repro.expr.cube import Cube
-from repro.expr.kernels import (
-    CoverMatrix,
-    kernels_enabled,
-    popcount_words,
-    scc_cover,
-    set_kernels_enabled,
-)
+from repro.expr.kernels import CoverMatrix, popcount_words, scc_cover
 
 
 def random_cover(rng: random.Random, n: int, k: int) -> Cover:
@@ -43,6 +37,11 @@ def esop_diff(a: Cube, b: Cube) -> int:
     return ((a.pos ^ b.pos) | (a.neg ^ b.neg)).bit_count()
 
 
+def unpack(row: np.ndarray) -> int:
+    """A packed ``uint64`` word row back to its python-int mask."""
+    return sum(int(word) << (64 * i) for i, word in enumerate(row))
+
+
 # Widths straddle the 64-bit word boundary so multi-word packing is hit.
 CASES = [(seed, n, k) for seed in (0, 1, 2) for n in (4, 9, 63, 70)
          for k in (0, 1, 7, 20)]
@@ -53,8 +52,9 @@ def test_roundtrip_and_literal_counts(seed, n, k):
     rng = random.Random(seed * 1000 + n * 10 + k)
     cover = random_cover(rng, n, k)
     matrix = CoverMatrix.from_cover(cover)
-    assert matrix.to_cubes() == cover.cubes
-    assert matrix.to_cover() == cover
+    assert len(matrix) == k
+    assert [unpack(row) for row in matrix.pos] == [c.pos for c in cover.cubes]
+    assert [unpack(row) for row in matrix.neg] == [c.neg for c in cover.cubes]
     expected = [cube.num_literals for cube in cover.cubes]
     assert matrix.literal_counts().tolist() == expected
 
@@ -65,12 +65,10 @@ def test_pairwise_matrices_match_scalar(seed, n, k):
     cubes = random_cover(rng, n, k).cubes
     matrix = CoverMatrix.from_cubes(n, list(cubes))
     contain = matrix.containment_matrix()
-    dist = matrix.distance_matrix()
     esop = matrix.esop_distance_matrix()
     for i, a in enumerate(cubes):
         for j, b in enumerate(cubes):
             assert bool(contain[i, j]) == a.covers(b), (i, j)
-            assert int(dist[i, j]) == a.distance(b), (i, j)
             assert int(esop[i, j]) == esop_diff(a, b), (i, j)
 
 
@@ -81,12 +79,8 @@ def test_single_cube_queries_match_scalar(seed, n, k):
     matrix = CoverMatrix.from_cover(cover)
     probe = random_cover(rng, n, 1).cubes[0] if n else Cube.universe(n)
     near = matrix.esop_distance_to(probe.pos, probe.neg)
-    hits = matrix.intersects_cube(probe)
     for i, cube in enumerate(cover.cubes):
         assert int(near[i]) == esop_diff(cube, probe), i
-        assert bool(hits[i]) == cube.intersects(probe), i
-    reduced = matrix.cofactor_cube(probe)
-    assert reduced.to_cubes() == cover.cofactor_cube(probe).cubes
 
 
 @pytest.mark.parametrize("seed,n,k", CASES)
@@ -106,14 +100,9 @@ def test_intersection_with_matches_scalar(seed, n, k):
 def test_scc_matches_scalar(seed, n, k):
     rng = random.Random(seed * 1000 + n * 10 + k)
     cover = random_cover(rng, n, k)
-    # Force the scalar loop regardless of cover size for the reference.
-    previous = set_kernels_enabled(False)
-    try:
-        reference = cover.single_cube_containment()
-    finally:
-        set_kernels_enabled(previous)
+    reference = cover.scalar_scc()
     assert scc_cover(cover).cubes == reference.cubes
-    # The gated method agrees with both whichever path it takes.
+    # The size-dispatched method agrees with both whichever path it takes.
     assert cover.single_cube_containment().cubes == reference.cubes
 
 
@@ -146,14 +135,3 @@ def test_popcount_words_matches_bit_count():
     words = np.array(values, dtype=np.uint64).reshape(11, 6)
     expected = [v.bit_count() for v in values]
     assert popcount_words(words).ravel().tolist() == expected
-
-
-def test_kernel_switch_roundtrip():
-    assert kernels_enabled()  # default on
-    previous = set_kernels_enabled(False)
-    try:
-        assert previous is True
-        assert not kernels_enabled()
-    finally:
-        set_kernels_enabled(previous)
-    assert kernels_enabled()
