@@ -151,14 +151,6 @@ class CoverMatrix:
         diff = (self.pos ^ pos) | (self.neg ^ neg)
         return popcount_words(diff).sum(axis=1)
 
-    def intersection_with(self, other: "CoverMatrix") -> np.ndarray:
-        """Boolean ``M[i, j]`` = row ``i`` of self intersects row ``j``
-        of ``other`` (share at least one minterm)."""
-        conflict = (self.pos[:, None, :] & other.neg[None, :, :]) | (
-            self.neg[:, None, :] & other.pos[None, :, :]
-        )
-        return ~(conflict.any(axis=2))
-
     # -- batched cover algebra ---------------------------------------------
 
     def scc_keep_order(self) -> list[int]:

@@ -20,11 +20,6 @@ rest of the tree threads through:
     CheckpointStore` so killed harness sweeps (``table2``, ``ablation``)
     resume where they left off, with resume provenance recorded in the
     run manifest.
-:mod:`repro.resilience.lease`
-    Cross-process :class:`~repro.resilience.lease.LeaseManager` —
-    pid/heartbeat-stamped lease files with stale-holder takeover, so N
-    daemons sharing one cache directory never duplicate in-flight work
-    (used by the ``repro-serve`` job queue).
 :mod:`repro.resilience.breaker`
     A :class:`~repro.resilience.breaker.CircuitBreaker` (consecutive
     failures trip it open, a timed half-open probe closes it) that lets
@@ -50,17 +45,13 @@ from repro.resilience.budget import (
     note_degradation,
 )
 from repro.resilience.checkpoint import CheckpointStore
-from repro.resilience.lease import DEFAULT_TTL_SECONDS, Lease, LeaseManager
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "Budget",
     "CheckpointStore",
     "CircuitBreaker",
-    "DEFAULT_TTL_SECONDS",
     "DegradationRecord",
-    "Lease",
-    "LeaseManager",
     "RetryPolicy",
     "budget_tick",
     "current_budget",

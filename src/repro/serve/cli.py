@@ -2,7 +2,6 @@
 
     repro-serve [--host H] [--port P] [--cache-dir DIR] [--state-dir DIR]
                 [--cache-max-mb N] [--workers N] [--jobs N] [--no-verify]
-                [--quota-rate R] [--quota-burst B] [--lease-ttl S]
                 [--journal-max-bytes N] [--journal-keep-segments N]
                 [--max-queue-depth N] [--min-free-mb N]
 
@@ -10,12 +9,11 @@
 result cache, so results survive daemon restarts and are shared with
 ``repro-synth``/harness runs pointed at the same directory.
 ``--state-dir`` (or ``REPRO_SERVE_STATE_DIR``) makes the *queue*
-durable too: accepted jobs are journaled and replayed after a crash,
-and lease files under the same directory coordinate several daemons
-sharing one cache.  ``--quota-rate``/``--quota-burst`` turn on
-per-client token-bucket admission (429 + ``Retry-After`` when a bucket
-runs dry).  ``--jobs`` sets how many pool processes one multi-output
-job may fan out to; ``--workers`` sets how many jobs run concurrently.
+durable too: accepted jobs are journaled and replayed after a crash.
+Several daemons may share one ``--cache-dir``, but a ``--state-dir``
+belongs to one daemon.  ``--jobs`` sets how many pool processes one
+multi-output job may fan out to; ``--workers`` sets how many jobs run
+concurrently.
 ``--journal-max-bytes``/``--journal-keep-segments`` bound the journal's
 disk footprint via rotation and checksummed compaction (inspect with
 ``python -m repro.serve.journalctl``); ``--max-queue-depth`` sheds
@@ -35,7 +33,6 @@ import sys
 from repro.engine import EngineConfig, resolve_cache_dir, resolve_options
 from repro.flow.disk_cache import DEFAULT_MAX_BYTES
 from repro.obs.logs import LOG_FILE_ENV, configure, log_event, logging_enabled
-from repro.resilience.lease import DEFAULT_TTL_SECONDS
 from repro.serve.journal import DEFAULT_KEEP_SEGMENTS
 from repro.serve.server import ReproServer, resolve_state_dir
 
@@ -52,20 +49,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="disk-backed result cache shared across "
                              "processes (default: REPRO_CACHE_DIR)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="durable queue state: job journal + lease "
-                             "files (default: REPRO_SERVE_STATE_DIR; "
-                             "unset = in-memory queue)")
-    parser.add_argument("--quota-rate", type=float, default=None,
-                        metavar="R", help="per-client admission rate in "
-                             "requests/second (unset = no quotas)")
-    parser.add_argument("--quota-burst", type=float, default=10.0,
-                        metavar="B", help="per-client token-bucket "
-                             "capacity (default 10)")
-    parser.add_argument("--lease-ttl", type=float,
-                        default=DEFAULT_TTL_SECONDS, metavar="S",
-                        help="seconds without a heartbeat before a "
-                             "peer's lease is stale (default "
-                             f"{DEFAULT_TTL_SECONDS:g})")
+                        help="durable queue state: the job journal, "
+                             "one daemon per directory (default: "
+                             "REPRO_SERVE_STATE_DIR; unset = in-memory "
+                             "queue)")
     parser.add_argument("--journal-max-bytes", type=int, default=None,
                         metavar="N",
                         help="rotate the job journal when its tail "
@@ -84,9 +71,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(unset = unbounded queue)")
     parser.add_argument("--min-free-mb", type=int, default=None,
                         metavar="N",
-                        help="flip to degraded mode (shed low priority, "
-                             "stop journaling detail) when the state "
-                             "dir's filesystem has less than N MiB free")
+                        help="flip to degraded mode (stop journaling "
+                             "detail) when the state dir's filesystem "
+                             "has less than N MiB free")
     parser.add_argument("--cache-max-mb", type=int,
                         default=DEFAULT_MAX_BYTES // (1024 * 1024),
                         metavar="N", help="disk cache size budget for GC")
@@ -127,9 +114,6 @@ def main(argv: list[str] | None = None) -> int:
     server = ReproServer(config, host=args.host, port=args.port,
                          workers=args.workers,
                          state_dir=state_dir,
-                         quota_rate=args.quota_rate,
-                         quota_burst=args.quota_burst,
-                         lease_ttl_seconds=args.lease_ttl,
                          journal_max_bytes=args.journal_max_bytes,
                          journal_keep_segments=args.journal_keep_segments,
                          max_queue_depth=args.max_queue_depth,

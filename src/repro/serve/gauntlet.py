@@ -1,8 +1,8 @@
 """Crash-restart gauntlet: what the CI ``service-smoke`` job escalates to.
 
-    python -m repro.serve.gauntlet [--circuits NAMES] [--phases ABC]
+    python -m repro.serve.gauntlet [--circuits NAMES] [--phases AC]
 
-Three phases, all against real ``repro-serve`` subprocesses:
+Two phases, both against real ``repro-serve`` subprocesses:
 
 **Phase A — SIGKILL mid-queue.**  Boot one durable daemon
 (``--state-dir``), submit a batch of small circuits without waiting,
@@ -14,13 +14,6 @@ a daemon on the same journal/cache directories and assert that
 2. every submitted circuit reaches ``done`` without being resubmitted;
 3. each BLIF is byte-equal to an in-process reference synthesis —
    the crash changed *when* the answers arrived, not *what* they are.
-
-**Phase B — two daemons, one cache.**  Boot two daemons sharing one
-cache/state directory, submit the *same* fresh circuit to both, and
-assert the results are bit-identical while the combined
-``engine_requests_fresh`` across both daemons is exactly 1: the lease
-files made one daemon do the work and the other answer from the
-shared cache (``serve_lease_acquired`` confirms the leases were used).
 
 **Phase C — disk faults + rotation under SIGKILL.**  Boot a daemon
 with a tiny ``--journal-max-bytes`` (rotation fires constantly) and a
@@ -77,7 +70,6 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _start_daemon(cache_dir: str, state_dir: str,
-                  lease_ttl: float = 2.0,
                   extra_args: list[str] | None = None,
                   env: dict[str, str] | None = None
                   ) -> tuple[subprocess.Popen, ServeClient]:
@@ -86,7 +78,7 @@ def _start_daemon(cache_dir: str, state_dir: str,
          "--cache-dir", cache_dir, "--state-dir", state_dir,
          # jobs=1 keeps synthesis in-process: a SIGKILL'd daemon must
          # not leave orphaned pool workers behind in CI.
-         "--jobs", "1", "--lease-ttl", str(lease_ttl)]
+         "--jobs", "1"]
         + (extra_args or []),
         stderr=subprocess.PIPE, text=True, env=env,
     )
@@ -171,8 +163,7 @@ def phase_a_crash_restart(circuits: list[str],
             proc, client = _start_daemon(cache_dir, state_dir)
             accepted = []
             for name in circuits:
-                doc = client.synthesize(plas[name], name=name, wait=False,
-                                        priority="low")
+                doc = client.synthesize(plas[name], name=name, wait=False)
                 _check(doc["state"] == "queued" or doc["state"] == "running",
                        f"unexpected 202 state {doc['state']!r}")
                 accepted.append(doc["key"])
@@ -218,51 +209,6 @@ def phase_a_crash_restart(circuits: list[str],
                 _stop_daemon(proc)
             return
     raise GauntletFailure("phase A never caught the daemon mid-queue")
-
-
-def phase_b_two_daemons(circuit: str, plas: dict[str, str],
-                        references: dict[str, str]) -> None:
-    with tempfile.TemporaryDirectory(prefix="repro-gauntlet-b-") as tmp:
-        cache_dir = os.path.join(tmp, "cache")
-        state_dir = os.path.join(tmp, "state")
-        print("gauntlet B: booting two daemons on one cache ...",
-              flush=True)
-        proc_a, client_a = _start_daemon(cache_dir, state_dir)
-        proc_b, client_b = _start_daemon(cache_dir, state_dir)
-        try:
-            # Submit the same key to both daemons before either can
-            # finish: the lease decides who synthesizes.
-            sub_a = client_a.synthesize(plas[circuit], name=circuit,
-                                        wait=False)
-            sub_b = client_b.synthesize(plas[circuit], name=circuit,
-                                        wait=False)
-            _check(sub_a["key"] == sub_b["key"],
-                   "same request hashed to different keys")
-            job_a = client_a.wait_job(sub_a["id"])
-            job_b = client_b.wait_job(sub_b["id"])
-            for side, job in (("A", job_a), ("B", job_b)):
-                _check(job["state"] == "done",
-                       f"daemon {side} job {job['state']}: "
-                       f"{job.get('error')}")
-                _check(job["result"]["blif"] == references[circuit],
-                       f"daemon {side} BLIF differs from reference")
-            metrics_a = client_a.metrics()
-            metrics_b = client_b.metrics()
-            fresh = (_metric(metrics_a, "engine_requests_fresh")
-                     + _metric(metrics_b, "engine_requests_fresh"))
-            _check(fresh == 1.0,
-                   f"expected exactly one fresh synthesis across both "
-                   f"daemons, saw {fresh:g}")
-            leases = (_metric(metrics_a, "serve_lease_acquired")
-                      + _metric(metrics_b, "serve_lease_acquired"))
-            _check(leases >= 2.0,
-                   f"expected both daemons to take the lease, saw "
-                   f"{leases:g}")
-            print("gauntlet B: one synthesis, two bit-identical answers, "
-                  f"{leases:g} lease acquisitions", flush=True)
-        finally:
-            _stop_daemon(proc_a)
-            _stop_daemon(proc_b)
 
 
 def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
@@ -358,14 +304,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--circuits", default=",".join(DEFAULT_CIRCUITS),
                         metavar="NAMES",
-                        help="comma-separated circuit names (first N-1 "
-                             "feed phase A, the last feeds phase B)")
-    parser.add_argument("--phases", default="ABC", metavar="LETTERS",
-                        help="which phases to run (default ABC)")
+                        help="comma-separated circuit names (all feed "
+                             "phase A; phase C probes with the last)")
+    parser.add_argument("--phases", default="AC", metavar="LETTERS",
+                        help="which phases to run (default AC)")
     args = parser.parse_args(argv)
 
     phases = {letter for letter in args.phases.upper() if letter.strip()}
-    unknown = phases - {"A", "B", "C"}
+    unknown = phases - {"A", "C"}
     _check(not unknown, f"unknown phases: {sorted(unknown)}")
     circuits = [name.strip() for name in args.circuits.split(",")
                 if name.strip()]
@@ -375,9 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     references = _references(circuits, plas)
 
     if "A" in phases:
-        phase_a_crash_restart(circuits[:-1], plas, references)
-    if "B" in phases:
-        phase_b_two_daemons(circuits[-1], plas, references)
+        phase_a_crash_restart(circuits, plas, references)
     if "C" in phases:
         phase_c_disk_faults(circuits, plas, references)
     print("gauntlet: OK", flush=True)

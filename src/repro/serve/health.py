@@ -13,9 +13,8 @@ task samples three signals every couple of seconds:
 3. **disk-cache breaker** — the write breaker of the engine's disk
    tier sitting open means results are not being persisted.
 
-Any firing signal flips the queue into *degraded mode*: low-priority
-submissions are shed with 503 + ``Retry-After`` (interactive traffic
-keeps flowing), new submissions stop journaling their payload detail
+Any firing signal flips the queue into *degraded mode*: submissions
+are still admitted, but they stop journaling their payload detail
 (nothing more is written to a disk that is failing or full), and
 ``GET /healthz`` reports ``"status": "degraded"`` with the reasons so
 an operator — or a load balancer — can see *why* before the disk

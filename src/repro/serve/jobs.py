@@ -1,4 +1,4 @@
-"""Job queue: dedup, priority classes, quotas, journal and leases.
+"""Job queue: dedup, journal and overload shedding.
 
 Every submission is keyed by :meth:`SynthesisEngine.request_key` — the
 ``spec digest / options fingerprint`` identity also used by the result
@@ -8,38 +8,24 @@ caller is attached to the existing job and gets the same result
 (``Job.submissions`` counts how many callers share it).  Keys equal ⇒
 results equal, so deduplication can never serve a wrong answer.
 
-On top of the PR-6 dedup queue this adds the durability/fairness tier:
+Jobs run in FIFO order off one :class:`asyncio.Queue`.  On top of the
+dedup queue sit:
 
-* **priority classes** — every job carries one of
-  :data:`PRIORITY_CLASSES` (``high``/``normal``/``low``); the dequeue
-  is a binary heap ordered by (class rank, FIFO sequence), so a batch
-  client marked ``low`` can never starve interactive ``high`` traffic.
-  Queue-wait latency is recorded both overall and per class
-  (``serve.queue_wait_seconds{priority=...}``).
-* **per-client quotas** — a :class:`~repro.serve.quota.ClientQuotas`
-  token bucket is consulted *before* dedup; an empty bucket raises
-  :class:`~repro.errors.QuotaExceededError`, which the HTTP layer maps
-  to ``429`` + ``Retry-After``.
 * **journal** — when a :class:`~repro.serve.journal.JobJournal` is
   attached, ``queued``/``running``/``done``/``failed`` transitions are
   appended before they are observable, so a SIGKILL'd daemon replays
   its unfinished backlog on the next boot.
-* **leases** — when a :class:`~repro.resilience.lease.LeaseManager` is
-  attached, a worker takes the per-key lease before synthesizing and
-  heartbeats while running; a peer daemon wanting the same key waits
-  for the lease and then (thanks to the shared disk cache) answers
-  from cache instead of duplicating the work.
 * **overload shedding** — with ``max_depth`` set, a submission that
   would push the queue past its high-water mark is refused with
   :class:`~repro.errors.OverloadedError` (the HTTP layer maps it to
   ``503`` + ``Retry-After``) instead of growing the backlog without
   bound.  Dedup joins and journal replays are never shed: a join costs
-  no new work, and a replayed job was already admitted once.  In
-  *degraded mode* (set by the :class:`~repro.serve.health.
+  no new work, and a replayed job was already admitted once.
+* **degraded mode** — set by the :class:`~repro.serve.health.
   HealthMonitor` when disk headroom, journal writes or the cache
-  breaker go bad) low-priority submissions are shed first and new jobs
-  stop journaling their payload detail — no more bulk writes to a disk
-  that is failing or full.
+  breaker go bad.  Submissions are still admitted, but new jobs stop
+  journaling their payload detail — no more bulk writes to a disk that
+  is failing or full.
 
 All queue state is mutated on the event-loop thread only; the actual
 synthesis runs in a thread-pool executor (and, for multi-output specs,
@@ -51,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -69,26 +54,16 @@ from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
 from repro.obs.runctx import RunContext, install_run_context, new_correlation_id
 from repro.power import estimate_power
-from repro.resilience.lease import Lease, LeaseManager
 from repro.serve.journal import JobJournal
-from repro.serve.quota import ClientQuotas
 from repro.spec import CircuitSpec
 from repro.timing import network_delay
 
 __all__ = [
-    "DEFAULT_CLIENT",
-    "DEFAULT_PRIORITY",
     "Job",
     "JobQueue",
     "JobState",
-    "PRIORITY_CLASSES",
     "options_from_json",
 ]
-
-#: Priority classes in dequeue order: lower rank runs first.
-PRIORITY_CLASSES = {"high": 0, "normal": 1, "low": 2}
-DEFAULT_PRIORITY = "normal"
-DEFAULT_CLIENT = "default"
 
 #: JSON-settable synthesis knobs: name -> converter.  A whitelist, not
 #: ``getattr`` on the dataclass — the service must not expose knobs that
@@ -128,18 +103,6 @@ def options_from_json(doc: dict) -> dict:
     return overrides
 
 
-def validate_priority(priority: str | None) -> str:
-    """Normalize a request's priority field (400 material when bad)."""
-    if priority is None:
-        return DEFAULT_PRIORITY
-    if priority not in PRIORITY_CLASSES:
-        raise ValueError(
-            f"unknown priority {priority!r} "
-            f"(expected one of {sorted(PRIORITY_CLASSES)})"
-        )
-    return priority
-
-
 class JobState(str, enum.Enum):
     QUEUED = "queued"
     RUNNING = "running"
@@ -157,9 +120,7 @@ class Job:
     spec: CircuitSpec
     options: SynthesisOptions
     state: JobState = JobState.QUEUED
-    priority: str = DEFAULT_PRIORITY
-    client: str = DEFAULT_CLIENT
-    #: Re-enqueued from the journal after a crash (skips quota/journal).
+    #: Re-enqueued from the journal after a crash (skips shed/journal).
     replayed: bool = False
     submissions: int = 1
     #: One id shared by every log line this request produces — in the
@@ -183,8 +144,6 @@ class Job:
             "state": self.state.value,
             "circuit": self.circuit,
             "key": self.key,
-            "priority": self.priority,
-            "client": self.client,
             "replayed": self.replayed,
             "correlation_id": self.correlation_id,
             "submissions": self.submissions,
@@ -202,70 +161,28 @@ class Job:
         return doc
 
 
-class _PriorityQueue:
-    """Heap-ordered asyncio queue: (priority rank, FIFO sequence).
-
-    A small stand-in for :class:`asyncio.Queue` with the same
-    ``put_nowait``/``get``/``task_done``/``join`` surface; all calls
-    happen on the event-loop thread.
-    """
-
-    def __init__(self):
-        self._heap: list[tuple[int, int, Job]] = []
-        self._seq = itertools.count()
-        self._available = asyncio.Semaphore(0)
-        self._unfinished = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-
-    def put_nowait(self, rank: int, job: Job) -> None:
-        heapq.heappush(self._heap, (rank, next(self._seq), job))
-        self._unfinished += 1
-        self._idle.clear()
-        self._available.release()
-
-    async def get(self) -> Job:
-        await self._available.acquire()
-        return heapq.heappop(self._heap)[2]
-
-    def task_done(self) -> None:
-        self._unfinished -= 1
-        if self._unfinished <= 0:
-            self._idle.set()
-
-    async def join(self) -> None:
-        await self._idle.wait()
-
-
 class JobQueue:
     """Async job queue in front of one shared engine."""
 
     def __init__(self, engine: SynthesisEngine, workers: int = 1,
-                 quotas: ClientQuotas | None = None,
                  journal: JobJournal | None = None,
-                 leases: LeaseManager | None = None,
-                 lease_poll_seconds: float = 0.25,
                  max_depth: int | None = None):
         if max_depth is not None and max_depth <= 0:
             raise ValueError("max_depth must be positive (or None)")
         self.engine = engine
         self.workers = max(1, workers)
-        self.quotas = quotas
         self.journal = journal
-        self.leases = leases
-        self.lease_poll_seconds = lease_poll_seconds
         self.max_depth = max_depth
         #: Active degradation reasons (set by the health monitor); empty
-        #: means healthy.  Read by ``/healthz`` and the shed check.
+        #: means healthy.  Read by ``/healthz`` and the journal write.
         self.degraded_reasons: list[str] = []
         self.jobs: dict[str, Job] = {}
         self.synth_calls = 0  # engine invocations (dedup leaves this flat)
         self._inflight: dict[str, Job] = {}
-        self._queue = _PriorityQueue()
+        self._queue: asyncio.Queue[Job] = asyncio.Queue()
         self._tasks: list[asyncio.Task] = []
         self._ids = itertools.count(1)
         self._registry = get_metrics_registry()
-        self._stale_seen = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -298,25 +215,16 @@ class JobQueue:
         """Back clients off proportionally to the backlog, 1–60 s."""
         return min(60.0, max(1.0, len(self._inflight) * 0.5))
 
-    def _shed(self, priority: str) -> str | None:
-        """Why this submission must be refused, or ``None`` to admit.
-
-        Past the high-water mark everything is shed; in degraded mode
-        low-priority traffic is shed first, so interactive requests keep
-        flowing while batch clients absorb the squeeze.
-        """
+    def _shed(self) -> str | None:
+        """Why this submission must be refused, or ``None`` to admit."""
         if self.max_depth is not None \
                 and len(self._inflight) >= self.max_depth:
             return "queue_full"
-        if self.degraded_reasons and priority == "low":
-            return "degraded"
         return None
 
     # -- submission --------------------------------------------------------
 
     def submit(self, spec: CircuitSpec, overrides: dict | None = None, *,
-               priority: str = DEFAULT_PRIORITY,
-               client: str = DEFAULT_CLIENT,
                pla: str | None = None,
                options_doc: dict | None = None,
                replayed: bool = False) -> tuple[Job, bool]:
@@ -324,26 +232,15 @@ class JobQueue:
 
         Must be called from the event-loop thread (the HTTP handlers
         are); all dedup bookkeeping relies on that single-threadedness.
-        Raises :class:`~repro.errors.QuotaExceededError` when the
-        client's token bucket is empty (checked before dedup — joining
-        an in-flight job is admission too) and :class:`ValueError` for
-        an unknown priority class, and :class:`~repro.errors.
-        OverloadedError` when the submission is shed (queue past its
-        high-water mark, or low-priority traffic in degraded mode).
+        Raises :class:`~repro.errors.OverloadedError` when the
+        submission is shed (queue past its high-water mark).
         ``pla``/``options_doc`` carry the raw request payload into the
         journal so a crashed daemon can reconstruct the job on replay;
-        replayed re-submissions skip the quota (the tokens were spent
-        on first admission), the shed check (the work was already
-        accepted — dropping it now would break the 202 promise) and
-        the journal (their ``queued`` event already exists).
+        replayed re-submissions skip the shed check (the work was
+        already accepted — dropping it now would break the 202 promise)
+        and the journal (their ``queued`` event already exists).
         """
         overrides = overrides or {}
-        priority = validate_priority(priority)
-        if self.quotas is not None and not replayed:
-            self.quotas.admit(client)  # raises QuotaExceededError
-            self._registry.counter(
-                "serve.quota.allowed", "submissions that passed admission"
-            ).inc()
         key = self.engine.request_key(spec, **overrides)
         self._registry.counter(
             "serve.jobs.submitted", "job submissions received"
@@ -359,21 +256,18 @@ class JobQueue:
                       submissions=existing.submissions)
             return existing, True
         if not replayed:
-            reason = self._shed(priority)
+            reason = self._shed()
             if reason is not None:
                 retry_after = self._retry_after()
                 self._registry.counter(
-                    "serve.shed.total", "submissions shed by overload "
-                    "or degraded-mode admission",
+                    "serve.shed.total", "submissions shed by overload",
                 ).inc()
                 self._registry.counter(
-                    "serve.shed.total", "submissions shed by overload "
-                    "or degraded-mode admission",
-                    labels={"reason": reason, "priority": priority},
+                    "serve.shed.total", "submissions shed by overload",
+                    labels={"reason": reason},
                 ).inc()
                 log_event("serve.job.shed", request_key=key,
-                          reason=reason, priority=priority, client=client,
-                          depth=len(self._inflight),
+                          reason=reason, depth=len(self._inflight),
                           retry_after=retry_after)
                 raise OverloadedError(reason, retry_after)
         job = Job(
@@ -385,8 +279,6 @@ class JobQueue:
             # GET /jobs/<id>/trace document.  (``trace`` never changes
             # the synthesized result, so dedup keys stay valid.)
             options=self.engine.resolve(**overrides).replace(trace=True),
-            priority=priority,
-            client=client,
             replayed=replayed,
             correlation_id=new_correlation_id(),
         )
@@ -408,16 +300,14 @@ class JobQueue:
                     circuit=spec.name,
                     pla=pla if pla is not None else "",
                     options=options_doc or {},
-                    priority=priority,
-                    client=client,
                 )
         self.jobs[job.id] = job
         self._inflight[key] = job
-        self._queue.put_nowait(PRIORITY_CLASSES[priority], job)
+        self._queue.put_nowait(job)
         log_event("serve.job.submitted", job=job.id,
                   correlation_id=job.correlation_id,
                   circuit=job.circuit, request_key=job.key,
-                  priority=priority, client=client, replayed=replayed)
+                  replayed=replayed)
         self._registry.gauge(
             "serve.queue.depth", "jobs waiting or running"
         ).set(len(self._inflight))
@@ -455,48 +345,10 @@ class JobQueue:
         finally:
             install_run_context(previous)
 
-    async def _acquire_lease(self, job: Job) -> Lease | None:
-        """Take the per-key lease, waiting out a live peer if needed."""
-        assert self.leases is not None
-        lease = self.leases.try_acquire(job.key)
-        if lease is None:
-            self._registry.counter(
-                "serve.lease.waits",
-                "jobs that waited for a peer daemon's lease",
-            ).inc()
-            log_event("serve.lease.wait", job=job.id, request_key=job.key)
-            while lease is None:
-                await asyncio.sleep(self.lease_poll_seconds)
-                lease = self.leases.try_acquire(job.key)
-        self._registry.counter(
-            "serve.lease.acquired", "per-key leases taken before running"
-        ).inc()
-        self._registry.counter(
-            "serve.lease.stale_takeovers",
-            "stale leases taken over from crashed holders",
-        ).inc(self.leases.stale_takeovers - self._stale_seen)
-        self._stale_seen = self.leases.stale_takeovers
-        return lease
-
-    async def _heartbeat(self, lease: Lease) -> None:
-        """Refresh the lease stamp while the job runs (cancelled after)."""
-        assert self.leases is not None
-        interval = max(0.05, self.leases.ttl_seconds / 3.0)
-        while True:
-            await asyncio.sleep(interval)
-            if not self.leases.heartbeat(lease):
-                log_event("serve.lease.lost", request_key=lease.key)
-                return
-
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
-            lease = None
-            heartbeat: asyncio.Task | None = None
-            if self.leases is not None:
-                lease = await self._acquire_lease(job)
-                heartbeat = loop.create_task(self._heartbeat(lease))
             job.state = JobState.RUNNING
             job.started_unix = time.time()
             if self.journal is not None:
@@ -531,10 +383,6 @@ class JobQueue:
                     "serve.jobs.failed", "jobs that raised"
                 ).inc()
             finally:
-                if heartbeat is not None:
-                    heartbeat.cancel()
-                if lease is not None and self.leases is not None:
-                    self.leases.release(lease)
                 job.finished_unix = time.time()
                 latency = job.finished_unix - job.submitted_unix
                 queue_wait = job.started_unix - job.submitted_unix
@@ -545,11 +393,6 @@ class JobQueue:
                 self._registry.histogram(
                     "serve.queue_wait_seconds",
                     "submit-to-start wait per request",
-                ).observe(queue_wait)
-                self._registry.histogram(
-                    "serve.queue_wait_seconds",
-                    "submit-to-start wait per request",
-                    labels={"priority": job.priority},
                 ).observe(queue_wait)
                 log_event(
                     "serve.job.finished", job=job.id,

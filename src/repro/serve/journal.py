@@ -12,14 +12,16 @@ Event lifecycle per key::
     queued  ->  running  ->  done | failed
 
 A ``queued`` event carries everything needed to *reconstruct* the job
-(the PLA text, the circuit name, the raw JSON options overrides, the
-priority class and client id); the later transitions are skeletal.  On
+(the PLA text, the circuit name and the raw JSON options overrides);
+the later transitions are skeletal.  Replay ignores the ``priority``
+and ``client`` fields that ``queued`` records written by older daemons
+still carry.  On
 boot, :meth:`JobJournal.replay` folds the log per key: any key whose
 *last* event is ``queued`` or ``running`` is unfinished business — the
 daemon that accepted it crashed before finishing — and is re-enqueued.
 Because results are content-addressed (same key ⇒ same answer) and the
-disk cache is shared, a replayed job that a peer already finished costs
-one cache lookup, and a replayed job nobody finished synthesizes
+disk cache is persistent, a replayed job whose result reached the cache
+costs one cache lookup, and a replayed job nobody finished synthesizes
 bit-identically to what the dead daemon would have produced.
 
 Rotation and compaction (new in the resource-exhaustion hardening)
@@ -58,13 +60,9 @@ fold is last-event-per-key.  A crash between "tail renamed" and "first
 append to the new tail" leaves no tail file; the next append recreates
 it.  There is no crash point that loses an acknowledged event.
 
-Several daemons may share one journal directory: appends interleave
-whole lines, replay is idempotent (re-enqueueing a finished key ends at
-the cache), and the lease files (:mod:`repro.resilience.lease`) keep
-two daemons from synthesizing one key concurrently.  Rotation in that
-topology is racy (two daemons can seal the tail to the same segment
-number) and is therefore meant for single-writer state dirs; the
-consequence of the race is duplicate folding, not corruption.
+A journal has a single writer: one daemon per state directory.
+Rotation relies on that (two writers could seal the tail to the same
+segment number).
 
 Write faults (``ENOSPC``, a vanished state dir) are *absorbed*, not
 raised: the daemon keeps serving, ``write_errors``/``last_write_error``
@@ -111,8 +109,6 @@ class PendingJob:
     circuit: str
     pla: str
     options: dict
-    priority: str
-    client: str
     submitted_unix: float
 
 
@@ -173,8 +169,6 @@ class _Fold:
                 circuit=circuit,
                 pla=pla,
                 options=options,
-                priority=str(record.get("priority", "normal")),
-                client=str(record.get("client", "default")),
                 submitted_unix=float(record.get("ts", 0.0) or 0.0),
             )
             self.raw_queued[key] = record
@@ -251,7 +245,7 @@ class JobJournal:
     # -- writing -----------------------------------------------------------
 
     def record_queued(self, *, request_key: str, circuit: str, pla: str,
-                      options: dict, priority: str, client: str) -> None:
+                      options: dict) -> None:
         """Journal a new submission — called *before* the 202 goes out,
         so an accepted job is always durable (disk permitting)."""
         self._append({
@@ -261,8 +255,6 @@ class JobJournal:
             "circuit": circuit,
             "pla": pla,
             "options": options,
-            "priority": priority,
-            "client": client,
             "ts": self.clock(),
         })
 

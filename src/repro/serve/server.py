@@ -6,16 +6,15 @@ the container bakes in only the standard library.  Endpoints:
 
 ==========================  =============================================
 ``POST /synthesize``        submit a PLA (JSON body: ``pla``, optional
-                            ``name``/``options``/``wait``/``priority``/
-                            ``client``); 200 with the finished job when
-                            ``wait`` is true, else 202 with the job id
-                            and request key.  Identical in-flight
-                            requests join the same job (``deduplicated``
-                            in the response); an exhausted client quota
-                            is a 429 and a shed submission (queue past
-                            its high-water mark, or low priority while
-                            degraded) is a 503, both with a
-                            ``Retry-After`` header.
+                            ``name``/``options``/``wait``; other keys
+                            are ignored); 200 with the finished job
+                            when ``wait`` is true, else 202 with the
+                            job id and request key.  Identical
+                            in-flight requests join the same job
+                            (``deduplicated`` in the response); a shed
+                            submission (queue past its high-water
+                            mark) is a 503 with a ``Retry-After``
+                            header.
 ``GET /jobs``               summaries of every job this process has seen
 ``GET /jobs/<id>``          full job document, run manifest included
 ``GET /jobs/<id>/trace``    the request's span tree (full FlowTrace
@@ -29,8 +28,8 @@ With a state directory configured the daemon is *durable*: every
 submission is journaled before its 202 goes out, and on boot the
 journal is replayed — jobs a previous (possibly SIGKILL'd) daemon never
 finished are re-enqueued and complete bit-identically via the shared
-result cache.  Lease files under the same directory let several daemons
-share one cache/journal without duplicating in-flight synthesis.
+result cache.  A state directory belongs to one daemon; several daemons
+may share one cache directory.
 
 SIGTERM/SIGINT trigger a graceful drain: the listener closes (new
 connections are refused by the OS), queued and running jobs finish,
@@ -46,32 +45,23 @@ import os
 import signal
 
 from repro.engine import EngineConfig, SynthesisEngine
-from repro.errors import OverloadedError, QuotaExceededError
+from repro.errors import OverloadedError
 from repro.network.to_expr import spec_from_pla_text
 from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
-from repro.resilience.lease import DEFAULT_TTL_SECONDS, LeaseManager
 from repro.serve.health import HealthMonitor
-from repro.serve.jobs import (
-    DEFAULT_CLIENT,
-    DEFAULT_PRIORITY,
-    JobQueue,
-    options_from_json,
-)
+from repro.serve.jobs import JobQueue, options_from_json
 from repro.serve.journal import DEFAULT_KEEP_SEGMENTS, JobJournal
-from repro.serve.quota import ClientQuotas
 
 __all__ = ["ReproServer", "resolve_state_dir"]
 
 _MAX_BODY = 8 * 1024 * 1024  # a PLA bigger than 8 MiB is not a request
 
-#: Environment default for the serve state directory (journal + leases);
-#: like ``REPRO_CACHE_DIR``, set once per machine and every daemon on it
-#: shares one durable queue.
+#: Environment default for the serve state directory (the job journal).
+#: Unlike ``REPRO_CACHE_DIR``, a state directory belongs to one daemon.
 STATE_DIR_ENV = "REPRO_SERVE_STATE_DIR"
 
 JOURNAL_FILENAME = "journal.jsonl"
-LEASE_DIRNAME = "leases"
 
 
 def resolve_state_dir(explicit: str | None = None) -> str | None:
@@ -92,16 +82,13 @@ class ReproServer:
                  host: str = "127.0.0.1", port: int = 8348,
                  workers: int = 1,
                  state_dir: str | None = None,
-                 quota_rate: float | None = None,
-                 quota_burst: float = 10.0,
-                 lease_ttl_seconds: float = DEFAULT_TTL_SECONDS,
                  journal_max_bytes: int | None = None,
                  journal_keep_segments: int = DEFAULT_KEEP_SEGMENTS,
                  max_queue_depth: int | None = None,
                  min_free_mb: int | None = None):
         self.engine = SynthesisEngine(config)
         self.state_dir = resolve_state_dir(state_dir)
-        journal = leases = None
+        journal = None
         if self.state_dir is not None:
             os.makedirs(self.state_dir, exist_ok=True)
             journal = JobJournal(
@@ -109,17 +96,8 @@ class ReproServer:
                 max_bytes=journal_max_bytes,
                 keep_segments=journal_keep_segments,
             )
-            leases = LeaseManager(
-                os.path.join(self.state_dir, LEASE_DIRNAME),
-                ttl_seconds=lease_ttl_seconds,
-            )
-        quotas = (
-            ClientQuotas(rate=quota_rate, burst=quota_burst)
-            if quota_rate is not None else None
-        )
         self.queue = JobQueue(self.engine, workers=workers,
-                              quotas=quotas, journal=journal, leases=leases,
-                              max_depth=max_queue_depth)
+                              journal=journal, max_depth=max_queue_depth)
         self.health = HealthMonitor(
             self.queue,
             state_dir=self.state_dir,
@@ -164,14 +142,7 @@ class ReproServer:
             try:
                 spec = spec_from_pla_text(pending.pla, name=pending.circuit)
                 overrides = options_from_json(pending.options)
-                job, _ = self.queue.submit(
-                    spec, overrides,
-                    priority=pending.priority
-                    if pending.priority in ("high", "normal", "low")
-                    else DEFAULT_PRIORITY,
-                    client=pending.client,
-                    replayed=True,
-                )
+                job, _ = self.queue.submit(spec, overrides, replayed=True)
                 if job.key != pending.request_key:
                     # The recomputed key differs (e.g. the journal came
                     # from a daemon with different default options).
@@ -181,7 +152,6 @@ class ReproServer:
                     self.queue.journal.record_queued(
                         request_key=job.key, circuit=pending.circuit,
                         pla=pending.pla, options=pending.options,
-                        priority=job.priority, client=pending.client,
                     )
                     self.queue.journal.record_event(
                         "done", pending.request_key
@@ -203,7 +173,7 @@ class ReproServer:
             ).inc()
             log_event("serve.journal.replayed",
                       request_key=pending.request_key,
-                      circuit=pending.circuit, priority=pending.priority)
+                      circuit=pending.circuit)
 
     async def serve_forever(self, install_signals: bool = True) -> None:
         """Run until SIGTERM/SIGINT, then drain and return."""
@@ -251,8 +221,7 @@ class ReproServer:
                 payload = json.dumps(body).encode("utf-8")
                 ctype = "application/json"
             reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                      404: "Not Found", 429: "Too Many Requests",
-                      500: "Internal Server Error",
+                      404: "Not Found", 500: "Internal Server Error",
                       503: "Service Unavailable"}
             extra = "".join(
                 f"{name}: {value}\r\n" for name, value in headers.items()
@@ -356,39 +325,15 @@ class ReproServer:
             overrides = options_from_json(options_doc)
         except ValueError as exc:
             raise _BadRequest(str(exc)) from exc
-        priority = doc.get("priority")
-        if priority is not None and priority not in ("high", "normal", "low"):
-            raise _BadRequest(
-                f"unknown priority {priority!r} "
-                "(expected one of ['high', 'low', 'normal'])"
-            )
-        client = str(doc.get("client") or DEFAULT_CLIENT)
-
         try:
             job, deduplicated = self.queue.submit(
                 spec, overrides,
-                priority=priority or DEFAULT_PRIORITY,
-                client=client,
                 pla=str(doc["pla"]),
                 options_doc=options_doc,
             )
-        except QuotaExceededError as exc:
-            get_metrics_registry().counter(
-                "serve.quota.rejections",
-                "submissions rejected by a client's token bucket",
-            ).inc()
-            log_event("serve.quota.rejected", client=exc.client,
-                      retry_after=exc.retry_after)
-            retry_after = max(1, int(exc.retry_after))
-            return (
-                429,
-                {"error": str(exc), "client": exc.client,
-                 "retry_after": retry_after},
-                {"Retry-After": str(retry_after)},
-            )
         except OverloadedError as exc:
-            # Shed, not queued: the backlog (or a degraded disk) means
-            # accepting this job would make every other job slower.
+            # Shed, not queued: the backlog means accepting this job
+            # would make every other job slower.
             retry_after = max(1, int(exc.retry_after))
             return (
                 503,
@@ -405,6 +350,5 @@ class ReproServer:
             "id": job.id,
             "key": job.key,
             "state": job.state.value,
-            "priority": job.priority,
             "deduplicated": deduplicated,
         }

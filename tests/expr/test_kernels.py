@@ -84,19 +84,6 @@ def test_single_cube_queries_match_scalar(seed, n, k):
 
 
 @pytest.mark.parametrize("seed,n,k", CASES)
-def test_intersection_with_matches_scalar(seed, n, k):
-    rng = random.Random(seed * 1000 + n * 10 + k)
-    a = random_cover(rng, n, k)
-    b = random_cover(rng, n, max(1, k // 2))
-    meets = CoverMatrix.from_cover(a).intersection_with(
-        CoverMatrix.from_cover(b)
-    )
-    for i, ca in enumerate(a.cubes):
-        for j, cb in enumerate(b.cubes):
-            assert bool(meets[i, j]) == ca.intersects(cb), (i, j)
-
-
-@pytest.mark.parametrize("seed,n,k", CASES)
 def test_scc_matches_scalar(seed, n, k):
     rng = random.Random(seed * 1000 + n * 10 + k)
     cover = random_cover(rng, n, k)

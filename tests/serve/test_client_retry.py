@@ -1,11 +1,12 @@
 """ServeClient backpressure retries: Retry-After honored, capped, bounded."""
 
 import asyncio
+import time
 
 import pytest
 
 from repro.circuits import get
-from repro.errors import OverloadedError, QuotaExceededError
+from repro.errors import OverloadedError
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.resilience.retry import RetryPolicy
 from repro.serve.client import ServeClient
@@ -41,7 +42,7 @@ def test_default_client_does_not_retry():
 def test_retries_absorb_backpressure_then_succeed():
     client, sleeps, calls = flaky_client(3, [
         OverloadedError("queue_full", 2.0),
-        QuotaExceededError("ci", 1.0),
+        OverloadedError("queue_full", 1.0),
     ])
     doc = client._request_with_backoff("POST", "/synthesize", {})
     assert doc == {"state": "done"}
@@ -93,35 +94,39 @@ def test_non_backpressure_errors_are_not_retried():
     assert len(calls) == 1
 
 
-def test_http_round_trip_retries_through_degraded_window():
-    """End to end: a 503-shedding daemon, then recovery, one client."""
+def test_http_round_trip_retries_through_degraded_window(parked_job):
+    """End to end: a full queue sheds with a real HTTP 503, the backlog
+    drains, and the same client's retry gets through."""
     pla = write_pla(pla_from_spec(get("rd53")))
 
     async def driver():
-        server = ReproServer(port=0)
+        server = ReproServer(port=0, max_queue_depth=1)
         await server.start()
-        await server.health.stop()  # keep our forced state stable
-        server.queue.set_degraded(["low-disk:1mb-free"])
         loop = asyncio.get_running_loop()
-
-        def scenario():
-            client = ServeClient(f"http://127.0.0.1:{server.port}",
-                                 retries=2,
-                                 retry_policy=RetryPolicy(
-                                     max_retries=2, base_delay=0.01,
-                                     max_delay=0.05))
-            # First attempt is shed with a real HTTP 503; the disk
-            # "recovers" before the retry fires.
-            client._sleep = lambda _:  \
-                server.queue.set_degraded([])
-            doc = client.synthesize(pla, name="rd53", wait=True,
-                                    priority="low")
-            assert doc["state"] == "done"
-            assert client.backoff_retries == 1
-            return True
-
         try:
-            return await loop.run_in_executor(None, scenario)
+            with parked_job(server) as release:
+
+                def drain(_delay):
+                    release.set()
+                    deadline = time.monotonic() + 60
+                    while server.queue.depth() \
+                            and time.monotonic() < deadline:
+                        time.sleep(0.01)
+
+                def scenario():
+                    client = ServeClient(
+                        f"http://127.0.0.1:{server.port}", retries=2,
+                        retry_policy=RetryPolicy(
+                            max_retries=2, base_delay=0.01, max_delay=0.05))
+                    # First attempt is shed by the depth gate; the
+                    # parked job finishes before the retry fires.
+                    client._sleep = drain
+                    doc = client.synthesize(pla, name="rd53", wait=True)
+                    assert doc["state"] == "done"
+                    assert client.backoff_retries == 1
+                    return True
+
+                return await loop.run_in_executor(None, scenario)
         finally:
             await server.stop()
 

@@ -1,7 +1,7 @@
 """The crash-restart gauntlet driver (what CI's service-smoke escalates to).
 
 Running a reduced gauntlet under pytest keeps the crash contract —
-SIGKILL mid-queue, journal replay, two daemons on one cache — inside
+SIGKILL mid-queue, journal replay, disk faults under rotation — inside
 tier-1, not just in a separate CI lane.
 """
 
@@ -11,8 +11,8 @@ from repro.serve import gauntlet
 
 
 def test_gauntlet_end_to_end():
-    # Three circuits: two feed the crash-restart phase, the last feeds
-    # the two-daemon phase.  The full CI run uses the default five.
+    # Three circuits feed both phases.  The full CI run uses the
+    # default five.
     assert gauntlet.main(["--circuits", "rd53,z4ml,radd"]) == 0
 
 

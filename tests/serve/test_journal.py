@@ -14,26 +14,22 @@ def journal(tmp_path):
 
 
 def queue_job(journal, key="k1", circuit="rd53", pla=".i 1\n.o 1\n",
-              options=None, priority="normal", client="default"):
+              options=None):
     journal.record_queued(request_key=key, circuit=circuit, pla=pla,
-                         options=options or {}, priority=priority,
-                         client=client)
+                          options=options or {})
 
 
 # -- lifecycle folding -------------------------------------------------------
 
 
 def test_roundtrip_queued_is_pending(journal):
-    queue_job(journal, key="a/1", options={"verify": True},
-              priority="high", client="ci")
+    queue_job(journal, key="a/1", options={"verify": True})
     report = journal.replay()
     assert len(report.pending) == 1
     job = report.pending[0]
     assert job.request_key == "a/1"
     assert job.circuit == "rd53"
     assert job.options == {"verify": True}
-    assert job.priority == "high"
-    assert job.client == "ci"
     assert report.finished == 0
 
 
@@ -72,12 +68,13 @@ def test_pending_keeps_submission_order(journal):
 
 
 def test_duplicate_queued_entries_fold_to_one_pending(journal):
-    """Two daemons journaling the same key (dedup is per-process)."""
-    queue_job(journal, key="a/1", client="east")
-    queue_job(journal, key="a/1", client="west")
+    """One key journaled twice (dedup is per-process, so a restarted
+    daemon can accept a key its predecessor left unfinished)."""
+    queue_job(journal, key="a/1", circuit="first")
+    queue_job(journal, key="a/1", circuit="second")
     report = journal.replay()
     assert len(report.pending) == 1
-    assert report.pending[0].client == "west"  # latest payload wins
+    assert report.pending[0].circuit == "second"  # latest payload wins
 
 
 def test_requeue_after_done_reopens_key(journal):

@@ -8,8 +8,10 @@ import time
 import pytest
 
 from repro.circuits import get
+from repro.engine import SynthesisEngine
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.flow.cache import get_result_cache
+from repro.network.to_expr import spec_from_pla_text
 from repro.obs.metrics import get_metrics_registry
 from repro.serve.client import ServeClient
 from repro.serve.journal import JOURNAL_SCHEMA_VERSION, JobJournal
@@ -68,15 +70,12 @@ def test_boot_replays_unfinished_jobs(tmp_path):
     # The crash shape: one job accepted, one accepted + started, one
     # finished — only the first two are unfinished business.
     journal.record_queued(request_key="a", circuit="rd53",
-                          pla=pla_text("rd53"), options={},
-                          priority="high", client="ci")
+                          pla=pla_text("rd53"), options={})
     journal.record_queued(request_key="b", circuit="z4ml",
-                          pla=pla_text("z4ml"), options={},
-                          priority="normal", client="ci")
+                          pla=pla_text("z4ml"), options={})
     journal.record_event("running", "b")
     journal.record_queued(request_key="c", circuit="radd",
-                          pla=pla_text("radd"), options={},
-                          priority="low", client="ci")
+                          pla=pla_text("radd"), options={})
     journal.record_event("running", "c")
     journal.record_event("done", "c")
 
@@ -88,9 +87,41 @@ def test_boot_replays_unfinished_jobs(tmp_path):
         assert job["replayed"] is True
         assert job["state"] == "done"
         assert job["result"]["blif"]
-    assert by_circuit["rd53"]["priority"] == "high"
     # The finished jobs got journaled as done again, so a second boot
     # has nothing left to replay.
+    replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
+    assert replayed_again == 0
+
+
+def test_legacy_priority_and_client_fields_replay(tmp_path):
+    """State dirs written before priority classes and client ids were
+    dropped carry both fields on every ``queued`` record; replay ignores
+    them and rebuilds each job under its journaled request key."""
+    state_dir = str(tmp_path / "state")
+    os.makedirs(state_dir)
+    path = os.path.join(state_dir, JOURNAL_FILENAME)
+    engine = SynthesisEngine()
+    try:
+        keys = {name: engine.request_key(spec_from_pla_text(
+                    pla_text(name), name=name))
+                for name in ("rd53", "z4ml")}
+    finally:
+        engine.close()
+    with open(path, "a", encoding="utf-8") as handle:
+        for (name, key), priority in zip(keys.items(), ("high", "low")):
+            handle.write(json.dumps({
+                "schema": JOURNAL_SCHEMA_VERSION, "event": "queued",
+                "request_key": key, "circuit": name,
+                "pla": pla_text(name), "options": {},
+                "priority": priority, "client": "batch", "ts": 1.0,
+            }) + "\n")
+
+    replayed, jobs = boot_and_wait(state_dir, expect_done=2)
+    assert replayed == 2
+    assert {job["circuit"]: job["key"] for job in jobs} == keys
+    assert all(job["state"] == "done" and job["replayed"] for job in jobs)
+    # Same keys, so no job was re-journaled under a new one: the done
+    # events retire both records and a second boot replays nothing.
     replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
     assert replayed_again == 0
 
@@ -101,8 +132,7 @@ def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
     path = os.path.join(state_dir, JOURNAL_FILENAME)
     journal = JobJournal(path)
     journal.record_queued(request_key="good", circuit="rd53",
-                          pla=pla_text("rd53"), options={},
-                          priority="normal", client="ci")
+                          pla=pla_text("rd53"), options={})
     with open(path, "a", encoding="utf-8") as handle:
         # Parseable JSONL, valid schema, but the PLA is garbage: the
         # re-enqueue must fail for this entry only.

@@ -25,9 +25,7 @@ def make_journal(tmp_path, **kwargs) -> JobJournal:
 def queue_job(journal, key, pla=".i 1\n.o 1\n", **kwargs):
     journal.record_queued(
         request_key=key, circuit=kwargs.pop("circuit", "rd53"), pla=pla,
-        options=kwargs.pop("options", {}),
-        priority=kwargs.pop("priority", "normal"),
-        client=kwargs.pop("client", "default"))
+        options=kwargs.pop("options", {}))
 
 
 def finish_job(journal, key, error=None):

@@ -168,6 +168,36 @@ def test_bad_requests_are_400s():
                      "bad-option": 400, "missing-job": 404}
 
 
+def test_legacy_priority_and_client_keys_are_ignored():
+    """Clients written for older daemons still send ``priority`` and
+    ``client``; they are ignored like any unknown top-level key."""
+    import json
+    import urllib.request
+
+    pla = pla_text("rd53")
+
+    def post(client, body):
+        req = urllib.request.Request(
+            client.base_url + "/synthesize",
+            data=json.dumps(body).encode("utf-8"), method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            return resp.status, json.loads(resp.read().decode("utf-8"))
+
+    def scenario(client, server):
+        body = {"pla": pla, "name": "rd53", "wait": True}
+        legacy = post(client, dict(body, priority="bogus", client="x"))
+        plain = post(client, body)
+        return legacy, plain
+
+    (legacy_status, legacy), (plain_status, plain) = run_with_server(scenario)
+    assert legacy_status == plain_status == 200
+    assert legacy["state"] == plain["state"] == "done"
+    assert legacy["key"] == plain["key"]
+    assert legacy["result"]["blif"].encode() == plain["result"]["blif"].encode()
+
+
 def test_failed_job_reports_error():
     # budget_seconds must be float-convertible; a string that isn't is a 400,
     # but a job can still fail at run time — force one with an absurd option

@@ -53,8 +53,7 @@ def test_submission_past_high_water_is_shed(engine):
     assert 1.0 <= info.value.retry_after <= 60.0
     assert registry.counter("serve.shed.total", "").value == before + 1
     labeled = registry.counter(
-        "serve.shed.total", "",
-        labels={"reason": "queue_full", "priority": "normal"})
+        "serve.shed.total", "", labels={"reason": "queue_full"})
     assert labeled.value >= 1
     assert queue.depth() == 2  # the shed request joined nothing
 
@@ -79,16 +78,16 @@ def test_replayed_submission_is_never_shed(engine):
     assert job.replayed
 
 
-def test_degraded_mode_sheds_low_priority_only(engine):
-    queue = JobQueue(engine)
+def test_degraded_mode_admits_only_the_depth_gate_sheds(engine):
+    queue = JobQueue(engine, max_depth=2)
     queue.set_degraded(["low-disk:3mb-free"])
+    # Degraded mode changes what gets journaled, not what gets admitted.
+    queue.submit(get("rd53"))
+    queue.submit(get("z4ml"))
     with pytest.raises(OverloadedError) as info:
-        queue.submit(get("rd53"), priority="low")
-    assert info.value.reason == "degraded"
-    queue.submit(get("z4ml"), priority="normal")
-    queue.submit(get("radd"), priority="high")
-    queue.set_degraded([])
-    queue.submit(get("rd53"), priority="low")  # healthy again
+        queue.submit(get("radd"))
+    assert info.value.reason == "queue_full"
+    assert queue.depth() == 2
 
 
 def test_degraded_gauge_tracks_mode(engine):
@@ -221,11 +220,11 @@ def test_monitor_runs_as_background_task(engine, tmp_path):
 # -- over HTTP ----------------------------------------------------------------
 
 
-def test_http_shed_is_503_with_retry_after():
+def test_http_shed_is_503_with_retry_after(parked_job):
     pla = write_pla(pla_from_spec(get("rd53")))
 
     async def driver():
-        server = ReproServer(port=0, max_queue_depth=8)
+        server = ReproServer(port=0, max_queue_depth=1)
         await server.start()
         # Force degraded mode deterministically: park the monitor (its
         # next healthy sample would lift the flag) and set it by hand.
@@ -234,7 +233,7 @@ def test_http_shed_is_503_with_retry_after():
         loop = asyncio.get_running_loop()
 
         def scenario():
-            body = json.dumps({"pla": pla, "priority": "low"})
+            body = json.dumps({"pla": pla})
             request = urllib.request.Request(
                 f"http://127.0.0.1:{server.port}/synthesize",
                 data=body.encode("utf-8"),
@@ -248,7 +247,7 @@ def test_http_shed_is_503_with_retry_after():
                 assert exc.code == 503
                 assert int(exc.headers["Retry-After"]) >= 1
                 doc = json.loads(exc.read().decode("utf-8"))
-                assert doc["reason"] == "degraded"
+                assert doc["reason"] == "queue_full"
                 assert doc["retry_after"] >= 1
 
             # /healthz names the reasons while degraded.
@@ -258,10 +257,12 @@ def test_http_shed_is_503_with_retry_after():
                 health = json.loads(resp.read().decode("utf-8"))
             assert health["status"] == "degraded"
             assert health["reasons"] == ["low-disk:2mb-free"]
+            assert health["queue_depth"] == 1
             return True
 
         try:
-            return await loop.run_in_executor(None, scenario)
+            with parked_job(server):
+                return await loop.run_in_executor(None, scenario)
         finally:
             await server.stop()
 
