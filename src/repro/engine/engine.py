@@ -154,6 +154,10 @@ class SynthesisEngine:
                         bool(result.verify)
                         if result.verify is not None else None
                     ),
+                    "verify_method": (
+                        result.verify.method
+                        if result.verify is not None else None
+                    ),
                 })
             except OSError:
                 pass

@@ -8,6 +8,7 @@ __all__ = [
     "OverloadedError",
     "ParseError",
     "ReproError",
+    "StateDirBusyError",
     "TooManyVariablesError",
     "UnknownCircuitError",
     "VerificationError",
@@ -87,6 +88,24 @@ class OverloadedError(ReproError):
         self.retry_after = retry_after
         super().__init__(
             f"server overloaded ({reason}); retry in {retry_after:.0f}s"
+        )
+
+
+class StateDirBusyError(ReproError):
+    """Another live daemon holds this serve state directory's lock.
+
+    A state directory (the job journal) has one writer.  ``repro-serve``
+    refuses to start on a directory whose ``daemon.lock`` is held, so a
+    second daemon can never rewrite or interleave the first one's
+    journal.
+    """
+
+    def __init__(self, state_dir: str, holder: str = ""):
+        self.state_dir = state_dir
+        self.holder = holder
+        super().__init__(
+            f"state dir {state_dir} is held by another repro-serve daemon"
+            + (f" (pid {holder})" if holder else "")
         )
 
 

@@ -272,7 +272,7 @@ def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
     """Atomic temp+fsync+rename write through the injectable primitives.
 
     The shared discipline of the disk cache, the checkpoint store and
-    the journal's compaction checkpoint: a reader never sees a
+    the journal's boot rewrite: a reader never sees a
     half-written file, and a crash (or injected fault) at any point
     leaves either the old content or the new, plus at worst a temp file
     that the next write cleans up by name reuse.

@@ -11,11 +11,10 @@ the first request.
 
 With a ``--state-dir`` the queue itself is durable: accepted jobs are
 written to an append-only journal (:mod:`repro.serve.journal`) before
-their 202 goes out and replayed on the next boot.  A state directory
-belongs to one daemon; several daemons may share one cache directory.
-The journal rotates into sealed segments and compacts into a
-checksummed checkpoint (``--journal-max-bytes``; inspect with ``python
--m repro.serve.journalctl``), a bounded queue sheds overload with 503 +
+their 202 goes out, replayed on the next boot, and the journal is then
+rewritten down to that backlog.  A state directory belongs to one
+daemon, which holds a lock on it; several daemons may share one cache
+directory.  A bounded queue sheds overload with 503 +
 ``Retry-After`` (``--max-queue-depth``), and a health monitor
 (:mod:`repro.serve.health`) flips the daemon to degraded mode — stop
 journaling payload detail — when disk headroom, journal writes or the

@@ -2,25 +2,22 @@
 
     repro-serve [--host H] [--port P] [--cache-dir DIR] [--state-dir DIR]
                 [--cache-max-mb N] [--workers N] [--jobs N] [--no-verify]
-                [--journal-max-bytes N] [--journal-keep-segments N]
                 [--max-queue-depth N] [--min-free-mb N]
 
 ``--cache-dir`` (or ``REPRO_CACHE_DIR``) attaches the disk-backed
 result cache, so results survive daemon restarts and are shared with
 ``repro-synth``/harness runs pointed at the same directory.
 ``--state-dir`` (or ``REPRO_SERVE_STATE_DIR``) makes the *queue*
-durable too: accepted jobs are journaled and replayed after a crash.
-Several daemons may share one ``--cache-dir``, but a ``--state-dir``
-belongs to one daemon.  ``--jobs`` sets how many pool processes one
-multi-output job may fan out to; ``--workers`` sets how many jobs run
-concurrently.
-``--journal-max-bytes``/``--journal-keep-segments`` bound the journal's
-disk footprint via rotation and checksummed compaction (inspect with
-``python -m repro.serve.journalctl``); ``--max-queue-depth`` sheds
-submissions with 503 + ``Retry-After`` past the high-water mark, and
-``--min-free-mb`` flips the daemon to degraded mode before the state
-disk actually fills.  The daemon drains gracefully on SIGTERM/SIGINT
-and exits 0.
+durable too: accepted jobs are journaled and replayed after a crash,
+and each boot rewrites the journal down to that backlog.  Several
+daemons may share one ``--cache-dir``, but a ``--state-dir`` belongs
+to one daemon: a second daemon on a held directory exits 1 before it
+listens.  ``--jobs`` sets how many pool processes one multi-output job
+may fan out to; ``--workers`` sets how many jobs run concurrently.
+``--max-queue-depth`` sheds submissions with 503 + ``Retry-After``
+past the high-water mark, and ``--min-free-mb`` flips the daemon to
+degraded mode before the state disk actually fills.  The daemon drains
+gracefully on SIGTERM/SIGINT and exits 0.
 """
 
 from __future__ import annotations
@@ -31,9 +28,9 @@ import os
 import sys
 
 from repro.engine import EngineConfig, resolve_cache_dir, resolve_options
+from repro.errors import StateDirBusyError
 from repro.flow.disk_cache import DEFAULT_MAX_BYTES
 from repro.obs.logs import LOG_FILE_ENV, configure, log_event, logging_enabled
-from repro.serve.journal import DEFAULT_KEEP_SEGMENTS
 from repro.serve.server import ReproServer, resolve_state_dir
 
 
@@ -53,17 +50,6 @@ def main(argv: list[str] | None = None) -> int:
                              "one daemon per directory (default: "
                              "REPRO_SERVE_STATE_DIR; unset = in-memory "
                              "queue)")
-    parser.add_argument("--journal-max-bytes", type=int, default=None,
-                        metavar="N",
-                        help="rotate the job journal when its tail "
-                             "crosses N bytes; compaction folds old "
-                             "segments into a checksummed checkpoint "
-                             "(unset = single unbounded file)")
-    parser.add_argument("--journal-keep-segments", type=int,
-                        default=DEFAULT_KEEP_SEGMENTS, metavar="N",
-                        help="sealed journal segments kept before "
-                             "compaction folds the oldest into the "
-                             f"checkpoint (default {DEFAULT_KEEP_SEGMENTS})")
     parser.add_argument("--max-queue-depth", type=int, default=None,
                         metavar="N",
                         help="shed submissions with 503 + Retry-After "
@@ -92,6 +78,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="run-history JSONL to append per-request "
                              "records to (default: REPRO_HISTORY_FILE)")
     args = parser.parse_args(argv)
+    if args.max_queue_depth is not None and args.max_queue_depth <= 0:
+        parser.error("--max-queue-depth must be positive")
+    if args.min_free_mb is not None and args.min_free_mb < 0:
+        parser.error("--min-free-mb must not be negative")
 
     # A file sink travels into forked pool workers via the env var, so
     # one request's lines — daemon and workers — share a correlation id.
@@ -111,13 +101,15 @@ def main(argv: list[str] | None = None) -> int:
         history_path=args.history,
     )
     state_dir = resolve_state_dir(args.state_dir)
-    server = ReproServer(config, host=args.host, port=args.port,
-                         workers=args.workers,
-                         state_dir=state_dir,
-                         journal_max_bytes=args.journal_max_bytes,
-                         journal_keep_segments=args.journal_keep_segments,
-                         max_queue_depth=args.max_queue_depth,
-                         min_free_mb=args.min_free_mb)
+    try:
+        server = ReproServer(config, host=args.host, port=args.port,
+                             workers=args.workers,
+                             state_dir=state_dir,
+                             max_queue_depth=args.max_queue_depth,
+                             min_free_mb=args.min_free_mb)
+    except StateDirBusyError as exc:
+        print(f"repro-serve: {exc}", file=sys.stderr)
+        return 1
 
     async def run() -> None:
         await server.start()

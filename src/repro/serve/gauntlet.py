@@ -9,25 +9,27 @@ Two phases, both against real ``repro-serve`` subprocesses:
 and SIGKILL the process while most of them are still queued.  Restart
 a daemon on the same journal/cache directories and assert that
 
-1. the boot replayed the unfinished backlog
+1. the restart succeeds: the kernel dropped the dead daemon's
+   state-dir lock, while a second daemon started on the live one's
+   state dir exits 1 before it listens;
+2. the boot replayed the unfinished backlog
    (``serve_journal_replayed`` > 0 and ``/healthz`` agrees);
-2. every submitted circuit reaches ``done`` without being resubmitted;
-3. each BLIF is byte-equal to an in-process reference synthesis —
+3. every submitted circuit reaches ``done`` without being resubmitted;
+4. each BLIF is byte-equal to an in-process reference synthesis —
    the crash changed *when* the answers arrived, not *what* they are.
 
-**Phase C — disk faults + rotation under SIGKILL.**  Boot a daemon
-with a tiny ``--journal-max-bytes`` (rotation fires constantly) and a
-:mod:`repro.resilience.faultfs` plan injected via ``REPRO_FAULTFS``:
+**Phase C — disk faults under SIGKILL.**  Boot a durable daemon with
+a :mod:`repro.resilience.faultfs` plan injected via ``REPRO_FAULTFS``:
 disk-cache entry writes hit ``ENOSPC`` until the write breaker trips,
-one journal append is torn mid-write, and one rotation rename fails
-with ``EIO``.  Assert that every job still completes with BLIF
-byte-equal to the reference (disk-cache writes degraded to memory-only
-behind the breaker), that the breaker opened and then closed again
-after the half-open re-probe found the disk healthy, and that the
-journal rotated.  Then SIGKILL the daemon mid-traffic, restart it
-clean, assert the backlog completes bit-identically, and finish with
-``journalctl verify`` — the journal must be sound (no corruption, no
-half-rotated state) after all of it.
+and one journal append is torn mid-write.  Assert that every job still
+completes with BLIF byte-equal to the reference (disk-cache writes
+degraded to memory-only behind the breaker) and that the breaker
+opened and then closed again after the half-open re-probe found the
+disk healthy.  Then SIGKILL the daemon mid-traffic, restart it clean,
+assert the backlog completes bit-identically, and finish by replaying
+the journal in-process: 0 pending and 0 malformed records, because the
+restart's boot rewrite dropped the torn line and the drain finished
+everything it replayed.
 
 Exits non-zero with a message on the first violated assertion.
 """
@@ -48,6 +50,8 @@ from repro.engine import EngineConfig, SynthesisEngine, resolve_options
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.network.blif import write_blif
 from repro.serve.client import ServeClient
+from repro.serve.journal import JobJournal
+from repro.serve.server import JOURNAL_FILENAME
 
 _PORT_RE = re.compile(r"127\.0\.0\.1:(\d+)")
 
@@ -70,7 +74,6 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _start_daemon(cache_dir: str, state_dir: str,
-                  extra_args: list[str] | None = None,
                   env: dict[str, str] | None = None
                   ) -> tuple[subprocess.Popen, ServeClient]:
     proc = subprocess.Popen(
@@ -78,8 +81,7 @@ def _start_daemon(cache_dir: str, state_dir: str,
          "--cache-dir", cache_dir, "--state-dir", state_dir,
          # jobs=1 keeps synthesis in-process: a SIGKILL'd daemon must
          # not leave orphaned pool workers behind in CI.
-         "--jobs", "1"]
-        + (extra_args or []),
+         "--jobs", "1"],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     deadline = time.monotonic() + 30
@@ -107,6 +109,19 @@ def _stop_daemon(proc: subprocess.Popen) -> None:
     code = proc.wait(timeout=60)
     proc.stderr.close()
     _check(code == 0, f"daemon exited {code} on SIGTERM (want 0)")
+
+
+def _check_rival_refused(cache_dir: str, state_dir: str) -> None:
+    """A second daemon on a held state dir must exit 1, never listen."""
+    rival = subprocess.run(
+        [sys.executable, "-m", "repro.serve.cli", "--port", "0",
+         "--cache-dir", cache_dir, "--state-dir", state_dir],
+        capture_output=True, text=True, timeout=60,
+    )
+    _check(rival.returncode == 1 and "listening" not in rival.stderr
+           and "held by another" in rival.stderr,
+           f"second daemon on a held state dir exited {rival.returncode}:"
+           f" {rival.stderr!r}")
 
 
 def _metric(metrics: str, name: str) -> float:
@@ -174,6 +189,7 @@ def phase_a_crash_restart(circuits: list[str],
 
             proc, client = _start_daemon(cache_dir, state_dir)
             try:
+                _check_rival_refused(cache_dir, state_dir)
                 replayed = client.health()["replayed"]
                 if replayed == 0 and attempt < MAX_CRASH_ATTEMPTS:
                     # Everything finished before the kill landed; the
@@ -218,22 +234,18 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
         state_dir = os.path.join(tmp, "state")
         batch, probe = circuits[:-1], circuits[-1]
         env = dict(os.environ)
-        # Three deterministic disk faults: entry writes hit ENOSPC until
-        # the breaker trips (threshold 3), one journal append is torn,
-        # one rotation rename fails with EIO.  A short breaker cooldown
-        # lets the half-open re-probe happen within the phase.
+        # Two deterministic disk faults: entry writes hit ENOSPC until
+        # the breaker trips (threshold 3), and one journal append is
+        # torn.  A short breaker cooldown lets the half-open re-probe
+        # happen within the phase.
         env["REPRO_FAULTFS"] = (
             "write:enospc:path=entries:count=3;"
-            "write:partial:path=journal.jsonl:after=4:count=1;"
-            "replace:eio:path=.0001.jsonl:count=1"
+            "write:partial:path=journal.jsonl:after=4:count=1"
         )
         env["REPRO_CACHE_BREAKER_COOLDOWN"] = "0.05"
-        rotation = ["--journal-max-bytes", "600",
-                    "--journal-keep-segments", "2"]
         print("gauntlet C: booting under injected disk faults ...",
               flush=True)
-        proc, client = _start_daemon(cache_dir, state_dir,
-                                     extra_args=rotation, env=env)
+        proc, client = _start_daemon(cache_dir, state_dir, env=env)
         accepted = []
         try:
             for name in batch:
@@ -251,8 +263,6 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
                    "disk-cache writes never saw the injected ENOSPC")
             _check(_metric(metrics, "cache_disk_breaker_opened") >= 1,
                    "the disk-cache write breaker never opened")
-            _check(_metric(metrics, "journal_rotations") >= 1,
-                   "the journal never rotated")
             # The ENOSPC rule is exhausted: after the cooldown the
             # half-open probe on the next store must find the disk
             # healthy and close the breaker.
@@ -267,17 +277,19 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
             print("gauntlet C: breaker tripped and recovered, results "
                   "bit-identical", flush=True)
             # Re-submit the batch without waiting and SIGKILL while the
-            # journal is busy appending/rotating.
+            # journal is busy appending.
             for name in batch:
                 doc = client.synthesize(plas[name], name=name, wait=False)
                 accepted.append(doc["key"])
         finally:
             _sigkill(proc)
-        print("gauntlet C: SIGKILL mid-rotation, restarting clean ...",
+        journal = JobJournal(os.path.join(state_dir, JOURNAL_FILENAME))
+        _check(journal.replay().skipped_malformed >= 1,
+               "the torn journal append left no malformed line")
+        print("gauntlet C: SIGKILL mid-traffic, restarting clean ...",
               flush=True)
 
-        proc, client = _start_daemon(cache_dir, state_dir,
-                                     extra_args=rotation)
+        proc, client = _start_daemon(cache_dir, state_dir)
         try:
             jobs = _wait_all_done(
                 client, sorted({job["circuit"]
@@ -288,15 +300,13 @@ def phase_c_disk_faults(circuits: list[str], plas: dict[str, str],
         finally:
             _stop_daemon(proc)
 
-        verify = subprocess.run(
-            [sys.executable, "-m", "repro.serve.journalctl", "verify",
-             "--state-dir", state_dir],
-            capture_output=True, text=True,
-        )
-        _check(verify.returncode == 0,
-               "journalctl verify found corruption after the crash: "
-               f"{verify.stdout}{verify.stderr}")
-        print("gauntlet C: journal verified sound after faults + SIGKILL",
+        report = journal.replay()
+        _check(not report.pending,
+               f"{len(report.pending)} jobs still pending after the drain")
+        _check(report.skipped_malformed == 0,
+               f"{report.skipped_malformed} malformed journal records "
+               "survived the boot rewrite")
+        print("gauntlet C: journal replays clean after faults + SIGKILL",
               flush=True)
 
 

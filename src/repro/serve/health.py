@@ -7,7 +7,7 @@ task samples three signals every couple of seconds:
 1. **disk headroom** — free bytes on the state directory's filesystem
    (via :func:`shutil.disk_usage`, injectable for tests) against the
    configured floor;
-2. **journal write errors** — fresh append/rotation failures since the
+2. **journal write errors** — fresh append/rewrite failures since the
    last sample (an ``ENOSPC`` journal means accepted work is no longer
    durable);
 3. **disk-cache breaker** — the write breaker of the engine's disk

@@ -422,6 +422,9 @@ def _result_doc(result) -> dict:
         "power_uw": estimate_power(network).microwatts,
         "seconds": result.seconds,
         "verified": bool(result.verify) if result.verify is not None else None,
+        "verify_method": (
+            result.verify.method if result.verify is not None else None
+        ),
         "cached_outputs": result.cached_outputs,
         "blif": write_blif(network),
     }

@@ -28,8 +28,12 @@ With a state directory configured the daemon is *durable*: every
 submission is journaled before its 202 goes out, and on boot the
 journal is replayed — jobs a previous (possibly SIGKILL'd) daemon never
 finished are re-enqueued and complete bit-identically via the shared
-result cache.  A state directory belongs to one daemon; several daemons
-may share one cache directory.
+result cache — and then rewritten down to that backlog.  A state
+directory belongs to one daemon: the daemon holds an exclusive
+``flock`` on ``daemon.lock`` there from construction until its drain
+ends, and a second daemon on the same directory fails with
+:class:`~repro.errors.StateDirBusyError` before it listens.  Several
+daemons may share one cache directory.
 
 SIGTERM/SIGINT trigger a graceful drain: the listener closes (new
 connections are refused by the OS), queued and running jobs finish,
@@ -40,18 +44,19 @@ immediately.
 from __future__ import annotations
 
 import asyncio
+import fcntl
 import json
 import os
 import signal
 
 from repro.engine import EngineConfig, SynthesisEngine
-from repro.errors import OverloadedError
+from repro.errors import OverloadedError, StateDirBusyError
 from repro.network.to_expr import spec_from_pla_text
 from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
 from repro.serve.health import HealthMonitor
 from repro.serve.jobs import JobQueue, options_from_json
-from repro.serve.journal import DEFAULT_KEEP_SEGMENTS, JobJournal
+from repro.serve.journal import JobJournal
 
 __all__ = ["ReproServer", "resolve_state_dir"]
 
@@ -62,6 +67,46 @@ _MAX_BODY = 8 * 1024 * 1024  # a PLA bigger than 8 MiB is not a request
 STATE_DIR_ENV = "REPRO_SERVE_STATE_DIR"
 
 JOURNAL_FILENAME = "journal.jsonl"
+LOCK_FILENAME = "daemon.lock"
+
+#: Lock fds held by daemons in this process.  A forked child (a process
+#: pool worker) shares each fd's open file description, and with it the
+#: lock; closing its copies makes the lock die with the daemon rather
+#: than with its last worker.  Closing, never unlocking: ``LOCK_UN`` in
+#: the child would drop the parent's lock too.
+_HELD_LOCK_FDS: set[int] = set()
+
+
+def _close_lock_fds_in_child() -> None:
+    for fd in _HELD_LOCK_FDS:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    _HELD_LOCK_FDS.clear()
+
+
+os.register_at_fork(after_in_child=_close_lock_fds_in_child)
+
+
+def _lock_state_dir(state_dir: str) -> int:
+    """Take the state directory's daemon lock, or raise
+    :class:`StateDirBusyError` naming the holder's pid."""
+    fd = os.open(os.path.join(state_dir, LOCK_FILENAME),
+                 os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        holder = os.pread(fd, 32, 0).decode("ascii", "replace").strip()
+        os.close(fd)
+        raise StateDirBusyError(state_dir, holder) from None
+    except BaseException:
+        os.close(fd)
+        raise
+    os.ftruncate(fd, 0)
+    os.pwrite(fd, f"{os.getpid()}\n".encode("ascii"), 0)
+    _HELD_LOCK_FDS.add(fd)
+    return fd
 
 
 def resolve_state_dir(explicit: str | None = None) -> str | None:
@@ -82,20 +127,23 @@ class ReproServer:
                  host: str = "127.0.0.1", port: int = 8348,
                  workers: int = 1,
                  state_dir: str | None = None,
-                 journal_max_bytes: int | None = None,
-                 journal_keep_segments: int = DEFAULT_KEEP_SEGMENTS,
                  max_queue_depth: int | None = None,
                  min_free_mb: int | None = None):
-        self.engine = SynthesisEngine(config)
         self.state_dir = resolve_state_dir(state_dir)
+        self._lock_fd: int | None = None
         journal = None
         if self.state_dir is not None:
             os.makedirs(self.state_dir, exist_ok=True)
+            # First, before anything is built: a refused daemon leaves
+            # nothing behind to clean up.
+            self._lock_fd = _lock_state_dir(self.state_dir)
             journal = JobJournal(
-                os.path.join(self.state_dir, JOURNAL_FILENAME),
-                max_bytes=journal_max_bytes,
-                keep_segments=journal_keep_segments,
-            )
+                os.path.join(self.state_dir, JOURNAL_FILENAME))
+        try:
+            self.engine = SynthesisEngine(config)
+        except BaseException:
+            self._release_lock()
+            raise
         self.queue = JobQueue(self.engine, workers=workers,
                               journal=journal, max_depth=max_queue_depth)
         self.health = HealthMonitor(
@@ -125,11 +173,17 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     def _replay_journal(self) -> None:
-        """Re-enqueue the unfinished backlog a dead daemon left behind."""
+        """Re-enqueue the unfinished backlog a dead daemon left behind.
+
+        The journal is rewritten down to that backlog first, while no
+        job is queued and so nothing can append: every boot bounds the
+        file to the work it is about to replay.
+        """
         if self.queue.journal is None:
             return
         registry = get_metrics_registry()
         report = self.queue.journal.replay()
+        self.queue.journal.rewrite(report)
         for skipped, counter, help_text in (
             (report.skipped_schema, "serve.journal.skipped_schema",
              "journal records with an unknown (newer) schema version"),
@@ -190,7 +244,7 @@ class ReproServer:
         self._shutdown.set()
 
     async def stop(self) -> None:
-        """Stop accepting, drain the queue, release the engine."""
+        """Stop accepting, drain the queue, release engine and lock."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -198,6 +252,13 @@ class ReproServer:
         await self.health.stop()
         await self.queue.drain()
         self.engine.close()
+        self._release_lock()
+
+    def _release_lock(self) -> None:
+        if self._lock_fd is not None:
+            _HELD_LOCK_FDS.discard(self._lock_fd)
+            os.close(self._lock_fd)  # closing drops the flock
+            self._lock_fd = None
 
     # -- http plumbing -----------------------------------------------------
 

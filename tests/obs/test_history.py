@@ -100,6 +100,7 @@ def test_engine_records_every_request(tmp_path):
     assert record["request_key"] == expected_key
     assert record["gates"] > 0
     assert record["seconds"] >= 0.0
+    assert record["verified"] is None and record["verify_method"] is None
 
 
 # -- snapshots and the regression gate ---------------------------------------

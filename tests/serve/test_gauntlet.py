@@ -1,7 +1,8 @@
 """The crash-restart gauntlet driver (what CI's service-smoke escalates to).
 
 Running a reduced gauntlet under pytest keeps the crash contract —
-SIGKILL mid-queue, journal replay, disk faults under rotation — inside
+SIGKILL mid-queue, journal replay, the state-dir lock, disk faults and
+the boot rewrite — inside
 tier-1, not just in a separate CI lane.
 """
 

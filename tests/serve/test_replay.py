@@ -126,6 +126,61 @@ def test_legacy_priority_and_client_fields_replay(tmp_path):
     assert replayed_again == 0
 
 
+def test_boot_rewrites_journal_to_its_backlog(tmp_path):
+    """A restart with unfinished work leaves exactly the pending
+    ``queued`` lines plus newer-schema lines; once that backlog is done
+    the next boot drops it, and a boot with nothing new leaves the file
+    byte-identical (not even rewritten)."""
+    state_dir = str(tmp_path / "state")
+    os.makedirs(state_dir)
+    path = os.path.join(state_dir, JOURNAL_FILENAME)
+    engine = SynthesisEngine()
+    try:
+        keys = {name: engine.request_key(spec_from_pla_text(
+                    pla_text(name), name=name))
+                for name in ("rd53", "z4ml", "radd")}
+    finally:
+        engine.close()
+    journal = JobJournal(path)
+    for name in ("rd53", "radd", "z4ml"):
+        journal.record_queued(request_key=keys[name], circuit=name,
+                              pla=pla_text(name), options={})
+    journal.record_event("running", keys["radd"])
+    journal.record_event("done", keys["radd"])
+    journal.record_event("running", keys["z4ml"])
+    foreign = json.dumps({"schema": JOURNAL_SCHEMA_VERSION + 1,
+                          "event": "warp", "request_key": "theirs"})
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(foreign + "\n" + '{"schema": 1, "event": "do')
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    expected = [lines[0], lines[2], foreign]  # queued rd53, queued z4ml
+
+    async def first_boot():
+        server = ReproServer(port=0, state_dir=state_dir)
+        # The boot path minus the queue workers: nothing can append.
+        server._replay_journal()
+        with open(path, encoding="utf-8") as handle:
+            rewritten = handle.read().splitlines()
+        server.queue.start()
+        await server.stop()  # drains the replayed backlog
+        return server.replayed, rewritten
+
+    replayed, rewritten = asyncio.run(first_boot())
+    assert replayed == 2
+    assert rewritten == expected
+
+    replayed_again, _ = boot_and_wait(state_dir, expect_done=0)
+    assert replayed_again == 0
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == foreign + "\n"
+    stat = os.stat(path)
+    boot_and_wait(state_dir, expect_done=0)
+    assert os.stat(path).st_ino == stat.st_ino
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == foreign + "\n"
+
+
 def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
     state_dir = str(tmp_path / "state")
     os.makedirs(state_dir)

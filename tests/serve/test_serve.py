@@ -14,6 +14,7 @@ from repro.circuits import get
 from repro.engine import EngineConfig
 from repro.expr.pla import pla_from_spec, write_pla
 from repro.flow.cache import get_result_cache
+from repro.obs.history.store import RunHistoryStore
 from repro.serve.client import ServeClient
 from repro.serve.jobs import options_from_json
 from repro.serve.server import ReproServer
@@ -95,6 +96,23 @@ def test_different_options_do_not_deduplicate():
 
 
 # -- endpoints ----------------------------------------------------------------
+
+
+def test_result_and_history_name_the_verify_method(tmp_path):
+    """z4ml has 7 inputs, so its check is exhaustive simulation; the
+    response and the run-history record both say so."""
+    history = tmp_path / "history.jsonl"
+
+    def scenario(client, server):
+        return client.synthesize(pla_text("z4ml"), name="z4ml", wait=True)
+
+    done = run_with_server(
+        scenario, config=EngineConfig(history_path=str(history)))
+    assert done["result"]["verified"] is True
+    assert done["result"]["verify_method"] == "exhaustive"
+    records = RunHistoryStore(str(history)).records(kind="engine")
+    assert [record["verify_method"] for record in records] \
+        == ["exhaustive"]
 
 
 def test_async_submit_then_poll():

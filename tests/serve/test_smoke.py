@@ -33,3 +33,15 @@ def test_serve_cli_help_exits_zero(capsys):
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
     assert "--cache-dir" in out and "--workers" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-queue-depth", "0"], "--max-queue-depth must be positive"),
+    (["--max-queue-depth", "-3"], "--max-queue-depth must be positive"),
+    (["--min-free-mb", "-5"], "--min-free-mb must not be negative"),
+], ids=["depth-zero", "depth-negative", "free-mb-negative"])
+def test_serve_cli_rejects_bad_limits(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
