@@ -15,20 +15,14 @@ the runner executes them on a cadence instead of every case.
 
 from __future__ import annotations
 
-import math
 import tempfile
 from dataclasses import dataclass
 
 from repro.core.options import FactorMethod, SynthesisOptions
 from repro.core.synthesis import SynthesisResult
 from repro.engine import EngineConfig, SynthesisEngine
-from repro.errors import TooManyVariablesError
-from repro.esopmin import esop_from_fprm
-from repro.esopmin.exorcism import _minimize_esop
-from repro.expr.kernels import scc_cover
 from repro.flow.cache import get_result_cache
 from repro.fprm.polarity import PolarityStrategy
-from repro.truth.spectra import fprm_from_table
 from repro.network.verify import (
     counterexample,
     equivalent_to_spec,
@@ -257,56 +251,6 @@ def oracle_degradation_ladder(spec: CircuitSpec) -> list[Finding]:
     return findings
 
 
-def oracle_kernels_vs_scalar(spec: CircuitSpec) -> list[Finding]:
-    """Vectorized cube-algebra kernels vs. the scalar reference loops.
-
-    The matrix scans in :mod:`repro.expr.kernels` must select exactly
-    the work the scalar loops would, so both paths must return the
-    *exact same cube tuples* on every cover.  Cover size picks the path
-    in the flow, so each arm is called directly at the spec's sizes:
-    ESOP minimization all-kernel vs. all-scalar, and single-cube
-    containment through :func:`scc_cover` vs. :meth:`Cover.scalar_scc`.
-    """
-    findings: list[Finding] = []
-    for output in spec.outputs:
-        try:
-            table = output.local_table()
-        except TooManyVariablesError:
-            continue
-        esop = esop_from_fprm(fprm_from_table(table, 0))
-        kern = _minimize_esop(esop, kernel_min_cubes=2)
-        ref = _minimize_esop(esop, kernel_min_cubes=math.inf)
-        if kern.cubes != ref.cubes:
-            findings.append(
-                Finding(
-                    check="kernels-vs-scalar",
-                    detail=(
-                        f"ESOP minimization diverges on output "
-                        f"{output.name}: kernels produced "
-                        f"{len(kern.cubes)} cube(s), scalar "
-                        f"{len(ref.cubes)}"
-                    ),
-                )
-            )
-        if output.cover is None:
-            continue
-        kern = scc_cover(output.cover)
-        ref = output.cover.scalar_scc()
-        if kern.cubes != ref.cubes:
-            findings.append(
-                Finding(
-                    check="kernels-vs-scalar",
-                    detail=(
-                        f"single-cube containment diverges on output "
-                        f"{output.name}: kernels kept "
-                        f"{len(kern.cubes)} cube(s), scalar "
-                        f"{len(ref.cubes)}"
-                    ),
-                )
-            )
-    return findings
-
-
 ORACLES = {
     "cube-vs-ofdd": oracle_cube_vs_ofdd,
     "polarity-variants": oracle_polarity_variants,
@@ -314,7 +258,6 @@ ORACLES = {
     "disk-cache-vs-uncached": oracle_disk_cache_vs_uncached,
     "serial-vs-parallel": oracle_serial_vs_parallel,
     "degradation-ladder": oracle_degradation_ladder,
-    "kernels-vs-scalar": oracle_kernels_vs_scalar,
 }
 
 #: Oracles with a large fixed cost per run (pool spin-up); the runner

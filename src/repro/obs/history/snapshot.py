@@ -2,8 +2,11 @@
 
 A *snapshot* is one JSON document (``results/BENCH_*.json``) holding,
 per circuit, the numbers a perf PR is judged on — wall seconds, strashed
-2-input gate count, literal count — keyed by the engine's
-``request_key`` so diffs refuse to compare apples to oranges.  The
+2-input gate count, literal count, and whether and how the result was
+verified (``verify_method``, e.g. ``exhaustive`` or ``bdd``; ``None``
+with verify off) — keyed by the engine's ``request_key`` so diffs
+refuse to compare apples to oranges.  Snapshots recorded before
+``verify_method`` existed simply lack it; comparison never reads it.  The
 ``repro-bench`` CLI records snapshots, appends each entry to the
 run-history JSONL, and :func:`compare_snapshots` is the regression gate
 CI runs against the committed baseline.
@@ -71,6 +74,9 @@ def record_snapshot(
                 "literals": result.literals,
                 "verified": (
                     bool(result.verify) if result.verify is not None else None
+                ),
+                "verify_method": (
+                    result.verify.method if result.verify is not None else None
                 ),
             }
     finally:

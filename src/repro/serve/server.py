@@ -50,7 +50,7 @@ import os
 import signal
 
 from repro.engine import EngineConfig, SynthesisEngine
-from repro.errors import OverloadedError, StateDirBusyError
+from repro.errors import OverloadedError, ReproError, StateDirBusyError
 from repro.network.to_expr import spec_from_pla_text
 from repro.obs.logs import log_event
 from repro.obs.metrics import get_metrics_registry
@@ -114,6 +114,16 @@ def resolve_state_dir(explicit: str | None = None) -> str | None:
     if explicit is not None:
         return explicit
     return os.environ.get(STATE_DIR_ENV) or None
+
+
+def _count_replay_error(request_key: str, error: str) -> None:
+    """Count and log one journal entry that failed to re-enqueue."""
+    get_metrics_registry().counter(
+        "serve.journal.replay_errors",
+        "journal entries that failed to re-enqueue",
+    ).inc()
+    log_event("serve.journal.replay_error", request_key=request_key,
+              error=error)
 
 
 class _BadRequest(Exception):
@@ -195,6 +205,17 @@ class ReproServer:
         for pending in report.pending:
             try:
                 spec = spec_from_pla_text(pending.pla, name=pending.circuit)
+            except ReproError as exc:
+                # No option changes how a PLA parses, so no daemon will
+                # ever run this entry: retire it, and the next boot's
+                # rewrite drops it instead of re-failing it forever.
+                error = f"{type(exc).__name__}: {exc}"
+                self.queue.journal.record_event(
+                    "failed", pending.request_key, error=error
+                )
+                _count_replay_error(pending.request_key, error)
+                continue
+            try:
                 overrides = options_from_json(pending.options)
                 job, _ = self.queue.submit(spec, overrides, replayed=True)
                 if job.key != pending.request_key:
@@ -211,14 +232,11 @@ class ReproServer:
                         "done", pending.request_key
                     )
             except Exception as exc:  # noqa: BLE001 — a poisoned journal
-                # entry must not take the whole boot down with it.
-                registry.counter(
-                    "serve.journal.replay_errors",
-                    "journal entries that failed to re-enqueue",
-                ).inc()
-                log_event("serve.journal.replay_error",
-                          request_key=pending.request_key,
-                          error=f"{type(exc).__name__}: {exc}")
+                # entry must not take the whole boot down with it.  It
+                # stays pending: an option this daemon rejects may be one
+                # a newer daemon knows.
+                _count_replay_error(pending.request_key,
+                                    f"{type(exc).__name__}: {exc}")
                 continue
             self.replayed += 1
             registry.counter(

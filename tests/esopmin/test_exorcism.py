@@ -1,14 +1,20 @@
-"""ESOP minimization: semantics preserved, sizes shrink."""
+"""ESOP minimization: semantics preserved, sizes shrink, outputs pinned."""
 
-import math
+import hashlib
+import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.bench_esop_ablation import CIRCUITS
 from repro.esopmin import esop_from_fprm, minimize_esop
-from repro.esopmin.exorcism import _minimize_esop
 from repro.expr.cube import Cube
-from repro.expr.esop import EsopCover, FprmForm
+from repro.expr.esop import EsopCover
+from repro.resilience.budget import Budget, install_budget
+
+ABLATION_RESULT = (Path(__file__).resolve().parents[2]
+                   / "results" / "ablation_esop.txt")
 
 N = 5
 
@@ -87,34 +93,80 @@ def test_esop_beats_or_ties_fprm_on_mixed_function():
         assert esop.evaluate(m) == table[m]
 
 
-@given(esops(n=7, max_cubes=16))
-@settings(max_examples=120, deadline=None)
-def test_kernel_path_is_bit_identical_to_scalar(cover):
-    """The matrix-selected passes must replay the scalar scans exactly:
-    same cubes, same order — not merely the same function."""
-    with_kernels = _minimize_esop(cover, kernel_min_cubes=2)
-    scalar = _minimize_esop(cover, kernel_min_cubes=math.inf)
-    assert with_kernels.cubes == scalar.cubes
+def test_ablation_cube_counts_match_committed_result():
+    """The six ablation circuits reproduce results/ablation_esop.txt."""
+    from repro.circuits import get
+    from repro.fprm.polarity import choose_polarity
+    from repro.truth.spectra import fprm_from_table
+
+    expected = {}
+    for line in ABLATION_RESULT.read_text().splitlines()[2:]:
+        name, fprm_cubes, esop_cubes = line.split()
+        expected[name] = (int(fprm_cubes), int(esop_cubes))
+    assert sorted(expected) == sorted(CIRCUITS)
+    for name in CIRCUITS:
+        fprm_total = esop_total = 0
+        for output in get(name).outputs:
+            table = output.local_table()
+            form = fprm_from_table(table, choose_polarity(table))
+            fprm_total += form.num_cubes
+            esop_total += minimize_esop(esop_from_fprm(form)).num_cubes
+        assert (fprm_total, esop_total) == expected[name], name
 
 
-def test_kernel_threshold_never_changes_results():
-    """Covers straddling _KERNEL_MIN_CUBES agree across the cutoff."""
-    import random
-
-    from repro.esopmin import exorcism
-
-    rng = random.Random(42)
-    for _ in range(40):
-        n = rng.randrange(3, 9)
-        count = rng.randrange(0, 21)
+def _random_covers(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(4, 9)
         cubes = []
-        for _ in range(count):
+        for _ in range(rng.randrange(8, 41)):
             pos = rng.getrandbits(n)
             neg = rng.getrandbits(n) & ~pos
             cubes.append(Cube(n, pos, neg))
-        cover = EsopCover(n, tuple(cubes))
-        slow = _minimize_esop(cover, kernel_min_cubes=math.inf)
-        assert minimize_esop(cover).cubes == slow.cubes, (n, count)
-        fast = _minimize_esop(cover, kernel_min_cubes=2)
-        assert fast.cubes == slow.cubes, (n, count)
-    assert exorcism._KERNEL_MIN_CUBES >= 2
+        yield EsopCover(n, tuple(cubes))
+
+
+def test_minimized_cubes_match_pinned_digest():
+    """Exact cube tuples, in order, on covers of 8-40 cubes."""
+    digest = hashlib.sha256()
+    for cover in _random_covers(seed=2015, count=30):
+        minimized = minimize_esop(cover)
+        digest.update(repr([(c.n, c.pos, c.neg)
+                            for c in minimized.cubes]).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "8997d580da8b3171349f40a59bdccbdfddd9579f6e4be8c503908edfdef9320b"
+    )
+
+
+class _ExpiresAfterEntryCheck(Budget):
+    """Passes the entry ``check``, then reports expiry on every read."""
+
+    def __init__(self):
+        super().__init__(seconds=None, deadline=float("inf"))
+        self.reads = 0
+
+    def expired(self) -> bool:
+        self.reads += 1
+        return self.reads > 1
+
+
+def test_budget_expiry_inside_the_loops_keeps_the_function():
+    rng = random.Random(7)
+    cubes = []
+    for _ in range(40):
+        pos = rng.getrandbits(8)
+        cubes.append(Cube(8, pos, rng.getrandbits(8) & ~pos))
+    cover = EsopCover(8, tuple(cubes))
+    budget = _ExpiresAfterEntryCheck()
+    previous = install_budget(budget)
+    try:
+        minimized = minimize_esop(cover)
+    finally:
+        install_budget(previous)
+    assert budget.reads > 1  # a strided in-loop check fired
+    assert minimized.num_cubes <= cover.num_cubes
+    for m in range(1 << cover.n):
+        assert minimized.evaluate(m) == cover.evaluate(m)
+    assert [(r.stage, r.fallback) for r in budget.drain_degradations()] == \
+        [("esop-minimize", "partial-minimization")]

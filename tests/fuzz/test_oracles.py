@@ -46,22 +46,3 @@ def test_finding_format_mentions_witness():
     finding = Finding(check="x", detail="d", witness=5)
     assert "0x5" in finding.format()
 
-
-def test_kernels_oracle_compares_scc_paths_below_the_size_cutoff(monkeypatch):
-    """The flow runs the scalar SCC loop on small covers, so the oracle
-    must call the kernel path itself to catch a kernel bug there."""
-    from repro.expr.cover import _KERNEL_MIN_CUBES
-    from repro.expr.kernels import CoverMatrix
-
-    spec = spec_from_pla_text(
-        ".i 3\n.o 2\n1-- 10\n11- 11\n-01 01\n0-1 01\n.e\n", name="small"
-    )
-    assert all(len(out.cover) < _KERNEL_MIN_CUBES for out in spec.outputs)
-    original = CoverMatrix.scc_keep_order
-
-    def drops_one(self):
-        return original(self)[:-1]
-
-    monkeypatch.setattr(CoverMatrix, "scc_keep_order", drops_one)
-    details = [f.detail for f in run_oracle("kernels-vs-scalar", spec)]
-    assert any("single-cube containment diverges" in d for d in details), details

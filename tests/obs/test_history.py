@@ -1,7 +1,9 @@
 """Run-history store and bench-snapshot comparison semantics."""
 
+import copy
 import json
 import threading
+from pathlib import Path
 
 from repro.circuits import get
 from repro.engine import EngineConfig, SynthesisEngine
@@ -188,6 +190,7 @@ def test_record_snapshot_runs_the_engine(monkeypatch, tmp_path):
     assert snapshot["git_sha"] == "feedbeef0000"
     z4ml = snapshot["entries"]["z4ml"]
     assert z4ml["gates"] > 0 and z4ml["verified"] is True
+    assert z4ml["verify_method"] == "exhaustive"
     assert "/" in z4ml["request_key"]
     assert snapshot["totals"]["circuits"] == 1
     # And the history projection carries the same numbers.
@@ -195,6 +198,21 @@ def test_record_snapshot_runs_the_engine(monkeypatch, tmp_path):
     assert len(records) == 1
     assert records[0]["kind"] == "bench"
     assert records[0]["gates"] == z4ml["gates"]
+
+
+def test_committed_snapshot_without_verify_method_still_compares():
+    """Snapshots recorded before ``verify_method`` load and diff as before."""
+    path = (Path(__file__).resolve().parents[2]
+            / "results" / "BENCH_table2_baseline.json")
+    baseline = json.loads(path.read_text())
+    assert all("verify_method" not in e for e in baseline["entries"].values())
+    assert compare_snapshots(baseline, baseline) == ([], [])
+    # A newer snapshot that carries the field diffs the same way.
+    newer = copy.deepcopy(baseline)
+    for entry in newer["entries"].values():
+        entry["verify_method"] = "exhaustive"
+    assert compare_snapshots(baseline, newer) == ([], [])
+    assert compare_snapshots(newer, baseline) == ([], [])
 
 
 def test_compare_tolerates_empty_snapshots():

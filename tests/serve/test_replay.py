@@ -181,6 +181,16 @@ def test_boot_rewrites_journal_to_its_backlog(tmp_path):
         assert handle.read() == foreign + "\n"
 
 
+def _replay_errors() -> float:
+    return get_metrics_registry().counter(
+        "serve.journal.replay_errors", "test probe").value
+
+
+def _journal_keys(path: str) -> set[str]:
+    with open(path, encoding="utf-8") as handle:
+        return {json.loads(line)["request_key"] for line in handle}
+
+
 def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
     state_dir = str(tmp_path / "state")
     os.makedirs(state_dir)
@@ -198,14 +208,37 @@ def test_poisoned_journal_entry_does_not_block_boot(tmp_path):
             "priority": "normal", "client": "ci",
         }) + "\n")
 
-    before = get_metrics_registry().counter(
-        "serve.journal.replay_errors", "test probe").value
+    before = _replay_errors()
     replayed, jobs = boot_and_wait(state_dir, expect_done=1)
     assert replayed == 1
     assert jobs[0]["circuit"] == "rd53"
-    after = get_metrics_registry().counter(
-        "serve.journal.replay_errors", "test probe").value
-    assert after == before + 1
+    assert _replay_errors() == before + 1
+    # The unparsable entry was retired, not left to fail on every boot:
+    # the second boot's rewrite drops it and the third has nothing to do.
+    for _ in range(2):
+        replayed, _ = boot_and_wait(state_dir, expect_done=0)
+        assert replayed == 0
+        assert "poison" not in _journal_keys(path)
+    assert _replay_errors() == before + 1
+
+
+def test_entry_with_unknown_option_stays_pending(tmp_path):
+    state_dir = str(tmp_path / "state")
+    os.makedirs(state_dir)
+    path = os.path.join(state_dir, JOURNAL_FILENAME)
+    # An option only a newer daemon knows: this daemon cannot run the
+    # entry, but must keep it for one that can.
+    JobJournal(path).record_queued(
+        request_key="future", circuit="rd53", pla=pla_text("rd53"),
+        options={"option_from_the_future": 1},
+    )
+    before = _replay_errors()
+    for _ in range(2):
+        replayed, _ = boot_and_wait(state_dir, expect_done=0)
+        assert replayed == 0
+    assert _replay_errors() == before + 2
+    pending = JobJournal(path).replay().pending
+    assert [job.request_key for job in pending] == ["future"]
 
 
 def test_resolve_state_dir_precedence(monkeypatch):
